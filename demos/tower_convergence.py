@@ -1,8 +1,8 @@
 """Watch the point-count ratios approach the certified leading constant.
 
 Counts degree-5m curves in the anticanonical multiples -mK over F_2 and
-compares hom / q^(d+2) with the certified constant.  m = 4 takes ~20s of
-exact arithmetic; pass --full to include it.
+compares hom / q^(d+2) with the certified constant.  m = 4 takes a few
+seconds of exact arithmetic; pass --full to include it.
 """
 
 import argparse

@@ -121,6 +121,8 @@ def cmd_count(args) -> int:
         "hom_count": res.hom,
         "method": res.method,
         "work": res.work,
+        "quadruples": res.quadruples,
+        "orbits": res.orbits,
         "ratio": float(ratio),
     }
     if args.format == "csv":
@@ -214,6 +216,7 @@ def cmd_constant(args) -> int:
 def cmd_motivic(args) -> int:
     from .motivic import motivic_constant
 
+    t0 = time.time()
     s = motivic_constant(args.trunc)
     print(s)
     payload = {"trunc": args.trunc, "coeffs": list(s.coeffs)}
@@ -225,7 +228,7 @@ def cmd_motivic(args) -> int:
         payload["value"] = str(val)
     if args.out:
         _write_record(args.out, _record("motivic", {"trunc": args.trunc,
-                      "specialize": args.specialize}, payload, time.time()))
+                      "specialize": args.specialize}, payload, t0))
     return 0
 
 

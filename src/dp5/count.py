@@ -30,6 +30,12 @@ remaining coordinates by exact division:
 P1 and P5 then hold identically.  Since scaling a' by (F_q^*)^4 permutes
 solutions, only first-nonzero-coefficient-one representatives of a' are
 enumerated and the outer factor (q-1)^4 is restored at the end.
+
+A change of variables g in PGL2(F_q) on the line maps the solutions over a'
+bijectively onto those over a' o g: it preserves degrees, the Pluecker
+relations, nonvanishing and coprimality, at infinity too.  So the kernel
+count is run once per orbit of normalised coprime quadruples, on its least
+member in enumeration order, and weighted by the orbit size.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import NamedTuple, Optional
 
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NonExactDivision, NotInEffDual
+from .errors import BudgetExceeded, DP5Error, NonExactDivision, NotInEffDual
 from .gf import FieldCtx, field_of_order
 from .p1 import BinaryForm, form_from_index, padd, pdeg, pgcd, pmul, pstrip, psub
 from .picard import (
@@ -88,6 +94,8 @@ class CountResult(NamedTuple):
     hom: int
     method: str
     work: int
+    quadruples: int = 0  # coprime normalised quadruples a' (count_fast only)
+    orbits: int = 0  # their PGL2(F_q) orbits, one kernel count each
 
     def ratio(self) -> Fraction:
         return Fraction(self.hom, self.q ** (self.degree + 2))
@@ -186,7 +194,7 @@ def count_naive(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Coun
         chosen[pos] = None
 
     place(0)
-    assert m % (q - 1) ** 5 == 0, "torus action is not free?"
+    _check_torus(m, q)
     return CountResult(
         q, alpha, _pairings_tuple(dd), dd.d, m, m // (q - 1) ** 5, "naive", work
     )
@@ -208,6 +216,50 @@ def _monic_forms(ctx: FieldCtx, d: int):
                 rest //= q
             out.append(BinaryForm(ctx, d, tuple(coeffs)))
     return out
+
+
+def _pgl2(ctx: FieldCtx):
+    """PGL2(F_q) as its q(q^2-1) matrices (a, b, c, d), first nonzero entry 1."""
+    q = ctx.q
+    group = [(0, 1, c, d) for c in range(1, q) for d in range(q)]
+    for b in range(q):
+        for c in range(q):
+            bc = ctx.mul(b, c)
+            group.extend((1, b, c, d) for d in range(q) if d != bc)
+    return group
+
+
+def _orbit_images(ctx: FieldCtx, forms, group):
+    """images[i][k]: index in forms of the normalised f_i(as+bt, cs+dt).
+
+    forms is _monic_forms(ctx, deg); (a, b, c, d) is group[k].
+    """
+    deg = forms[0].d
+    index = {f.coeffs: i for i, f in enumerate(forms)}
+    perms = []
+    for a, b, c, d in group:
+        # the image of s^j t^(deg-j) is (as+bt)^j (cs+dt)^(deg-j)
+        up, vp = [(1,)], [(1,)]
+        for _ in range(deg):
+            up.append(pmul(ctx, up[-1], (b, a)))
+            vp.append(pmul(ctx, vp[-1], (d, c)))
+        mono = [pmul(ctx, up[j], vp[deg - j]) for j in range(deg + 1)]
+        perm = []
+        for f in forms:
+            img = [0] * (deg + 1)
+            for cj, m in zip(f.coeffs, mono):
+                if cj:
+                    for k, mk in enumerate(m):
+                        img[k] = ctx.add(img[k], ctx.mul(cj, mk))
+            inv = ctx.inv(next(x for x in img if x))
+            perm.append(index[tuple(ctx.mul(inv, x) for x in img)])
+        perms.append(perm)
+    return list(zip(*perms))
+
+
+def _check_torus(m: int, q: int):
+    if m % (q - 1) ** 5:
+        raise DP5Error(f"torus action is not free: (q-1)^5 does not divide {m}")
 
 
 def _f2_mod(a: int, b: int) -> int:
@@ -413,59 +465,81 @@ def _count_inner_generic(ctx, afixed, degs6, vectors):
 
 
 def _fast_worker(args):
-    """Count over the a1 slice {indices == offset mod stride}."""
+    """Count over the a1 slice {indices == offset mod stride}.
+
+    Each PGL2 orbit of coprime quadruples is counted once, in the slice that
+    holds its least member.  Returns (total, work, quadruples, orbits).
+    """
     q, pairings, offset, stride, budget = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
-    d1, d2, d3, d4 = dd["E1"], dd["E2"], dd["E3"], dd["E4"]
+    degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
     dpp = (dd["L13"], dd["L24"], dd["L34"])
     degs6 = (dd["L13"], dd["L24"], dd["L34"], dd["L14"], dd["L23"], dd["L12"])
     derived = (dd["L14"], dd["L23"], dd["L12"])
-    lists = {d: _monic_forms(ctx, d) for d in {d1, d2, d3, d4}}
+    lists = {d: _monic_forms(ctx, d) for d in set(degs)}
+    # with all four degrees zero there is a single quadruple
+    group = _pgl2(ctx) if max(degs) else [(1, 0, 0, 1)]
+    images = {d: _orbit_images(ctx, forms, group) for d, forms in lists.items()}
 
     def triple(f):
         dh = f.dehom()
         return (f, dh, pdeg(dh) < f.d)
 
-    t1 = [triple(f) for f in lists[d1]]
-    t2 = [triple(f) for f in lists[d2]]
-    t3 = [triple(f) for f in lists[d3]]
-    t4 = [triple(f) for f in lists[d4]]
+    triples = {d: [triple(f) for f in forms] for d, forms in lists.items()}
+    tables = {}
+
+    def coprime(da, db):
+        # coprime(da, db)[i][j]: the i-th form of degree da and the j-th of
+        # degree db share no point
+        if (da, db) not in tables:
+            tables[da, db] = [
+                [_coprime_triples(ctx, f, g) for g in triples[db]]
+                for f in triples[da]
+            ]
+        return tables[da, db]
+
+    d1, d2, d3, d4 = degs
+    c12, c13, c14 = coprime(d1, d2), coprime(d1, d3), coprime(d1, d4)
+    c23, c24, c34 = coprime(d2, d3), coprime(d2, d4), coprime(d3, d4)
+    l1, l2, l3, l4 = (lists[d] for d in degs)
+    o1, o2, o3, o4 = (images[d] for d in degs)
     inner = _count_inner_f2 if q == 2 else None
     total = 0
     work = 0
-    aprime_count = 0
-    for i1 in range(offset, len(t1), stride):
-        f1 = t1[i1]
-        for f2 in t2:
-            if not _coprime_triples(ctx, f1, f2):
+    quadruples = 0
+    orbits = 0
+    for i1 in range(offset, len(l1), stride):
+        r12, r13, r14 = c12[i1], c13[i1], c14[i1]
+        for i2 in range(len(l2)):
+            if not r12[i2]:
                 continue
-            for f3 in t3:
-                if not (
-                    _coprime_triples(ctx, f1, f3) and _coprime_triples(ctx, f2, f3)
-                ):
+            r23, r24 = c23[i2], c24[i2]
+            for i3 in range(len(l3)):
+                if not (r13[i3] and r23[i3]):
                     continue
-                for f4 in t4:
-                    if not (
-                        _coprime_triples(ctx, f1, f4)
-                        and _coprime_triples(ctx, f2, f4)
-                        and _coprime_triples(ctx, f3, f4)
-                    ):
+                r34 = c34[i3]
+                for i4 in range(len(l4)):
+                    if not (r14[i4] and r24[i4] and r34[i4]):
                         continue
-                    aprime_count += 1
-                    afixed = (f1[0], f2[0], f3[0], f4[0])
+                    quadruples += 1
+                    orbit = set(zip(o1[i1], o2[i2], o3[i3], o4[i4]))
+                    if min(orbit) != (i1, i2, i3, i4):
+                        continue
+                    orbits += 1
+                    afixed = (l1[i1], l2[i2], l3[i3], l4[i4])
                     dim, vectors = _kernel_coords(afixed, dpp, derived)
+                    if work + q**dim > budget:
+                        raise BudgetExceeded(
+                            f"kernel enumeration exceeded budget {budget}"
+                        )
                     if inner is not None:
                         acc, vecs = inner(afixed, degs6, vectors)
                     else:
                         acc, vecs = _count_inner_generic(ctx, afixed, degs6, vectors)
-                    total += acc
+                    total += acc * len(orbit)
                     work += vecs
-                    if work > budget:
-                        raise BudgetExceeded(
-                            f"kernel enumeration exceeded budget {budget}"
-                        )
-    return total, work, aprime_count
+    return total, work, quadruples, orbits
 
 
 def count_fast(
@@ -492,6 +566,11 @@ def count_fast(
         est *= (q ** (dd[name] + 1) - 1) // (q - 1)
     if est > budget:
         raise BudgetExceeded(f"quadruple enumeration needs {est} > budget {budget}")
+    degs = {dd[name] for name in ("E1", "E2", "E3", "E4")}
+    if max(degs):
+        tables = q * (q * q - 1) * sum((q ** (d + 1) - 1) // (q - 1) for d in degs)
+        if tables > budget:
+            raise BudgetExceeded(f"orbit tables need {tables} > budget {budget}")
 
     if workers <= 1:
         parts = [_fast_worker((q, pairings, 0, 1, budget))]
@@ -501,10 +580,11 @@ def count_fast(
         jobs = [(q, pairings, w, workers, budget) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_fast_worker, jobs))
-    total = sum(p[0] for p in parts)
-    work = sum(p[1] for p in parts)
+    total, work, quadruples, orbits = (sum(col) for col in zip(*parts))
+    if work > budget:
+        raise BudgetExceeded(f"kernel enumeration needs {work} > budget {budget}")
     m = total * (q - 1) ** 4
-    assert m % (q - 1) ** 5 == 0, "torus action is not free?"
+    _check_torus(m, q)
     return CountResult(
         q,
         alpha,
@@ -514,6 +594,8 @@ def count_fast(
         m // (q - 1) ** 5,
         "fast",
         work,
+        quadruples,
+        orbits,
     )
 
 

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-Every failure mode that callers are expected to handle gets its own class;
-internal consistency violations use plain AssertionError.
+Every failure mode that callers are expected to handle gets its own class.
+Internal consistency checks that must survive `python -O` raise DP5Error
+itself; the rest use plain AssertionError.
 """
 
 

@@ -151,3 +151,22 @@ def test_version_flag(capsys):
         main(["--version"])
     assert ex.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_count_payload_identical_across_workers(tmp_path):
+    payloads = []
+    for w in (1, 2):
+        out = tmp_path / f"w{w}.json"
+        assert main(["count", "--q", "2", "--class", "9,-3,-3,-3,-3",
+                     "--workers", str(w), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        payloads.append(json.dumps(payload, sort_keys=True).encode())
+    assert payloads[0] == payloads[1]
+    payload = json.loads(payloads[0])
+    assert (payload["quadruples"], payload["orbits"]) == (696, 116)
+
+
+def test_motivic_record_times_the_computation(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["motivic", "--trunc", "60", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["wall_time"] > 0

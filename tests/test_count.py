@@ -140,3 +140,109 @@ def test_sweep_rows():
         assert list(r) == ["class", "d", "d1", "hom_count", "ratio",
                            "c_mid", "c_rad", "rel_err"]
     assert rows[1]["d"] == 5 and rows[1]["d1"] == 1
+
+
+def test_pgl2_permutes_normalised_forms():
+    from dp5.count import _monic_forms, _orbit_images, _pgl2
+    from dp5.gf import field_of_order
+
+    for q in (2, 3, 4):
+        ctx = field_of_order(q)
+        group = _pgl2(ctx)
+        assert len(group) == len(set(group)) == q * (q * q - 1)
+        for a, b, c, d in group:
+            assert ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != 0
+        for deg in (0, 1, 2):
+            forms = _monic_forms(ctx, deg)
+            columns = list(zip(*_orbit_images(ctx, forms, group)))
+            assert len(columns) == len(group)
+            for col in columns:
+                assert sorted(col) == list(range(len(forms)))
+            # the identity (1, 0, 0, 1) fixes every form
+            assert columns[group.index((1, 0, 0, 1))] == tuple(range(len(forms)))
+
+
+def test_count_funnel():
+    cases = [
+        (2, scale(ANTICANONICAL, 3), 696, 116),
+        (4, ANTICANONICAL, 120, 2),
+        (5, ANTICANONICAL, 360, 3),
+        (4, _cls("2,-2,0,0,0"), 21, 3),
+    ]
+    for q, alpha, quadruples, orbits in cases:
+        res = count_fast(q, alpha)
+        assert (res.quadruples, res.orbits) == (quadruples, orbits), (q, alpha)
+    rn = count_naive(2, _cls("1,0,0,0,0"))
+    assert (rn.quadruples, rn.orbits) == (0, 0)
+
+
+def test_funnel_and_work_independent_of_workers():
+    for q, alpha in ((2, scale(ANTICANONICAL, 3)), (4, _cls("2,-2,0,0,0"))):
+        r1 = count_fast(q, alpha, workers=1)
+        r2 = count_fast(q, alpha, workers=2)
+        assert r1 == r2
+
+
+# at q = 2, (8,-2,-2,-2,-2) splits its work 6144 + 2048 over two shards, so
+# with two workers only the check of the summed work can refuse work - 1
+@pytest.mark.parametrize("q,text", [(3, "2,-1,-1,-1,0"), (2, "8,-2,-2,-2,-2")])
+def test_budget_verdict_independent_of_workers(q, text):
+    alpha = _cls(text)
+    work = count_fast(q, alpha).work
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            count_fast(q, alpha, workers=workers, budget=work - 1)
+        assert count_fast(q, alpha, workers=workers, budget=work).work == work
+
+
+def test_orbit_tables_are_budgeted_before_they_are_built():
+    # 1025 quadruples pass the quadruple estimate, but PGL2(F_1024) has
+    # about 1.07e9 elements
+    with pytest.raises(BudgetExceeded, match="orbit tables"):
+        count_fast(1024, _cls("1,-1,0,0,0"))
+    # with all four outer degrees zero no group is built; the kernel is what
+    # exceeds the budget then
+    with pytest.raises(BudgetExceeded, match="kernel enumeration"):
+        count_fast(1024, CurveClass(0, 0, 0, 0, 0), budget=10**7)
+
+
+def test_torus_check_is_not_an_assert(monkeypatch):
+    from dp5 import count
+    from dp5.cli import main
+    from dp5.errors import DP5Error
+
+    # a total that is not divisible by q - 1 = 2
+    monkeypatch.setattr(count, "_fast_worker", lambda args: (1, 0, 1, 1))
+    with pytest.raises(DP5Error, match="torus action is not free"):
+        count_fast(3, CurveClass(0, 0, 0, 0, 0))
+    assert main(["count", "--q", "3", "--class", "0,0,0,0,0"]) == 1
+
+
+def _classes_with_small_pairings():
+    from itertools import product
+
+    from dp5.picard import degree_data, in_eff_dual
+
+    out = []
+    for t in product(range(4), *[range(-1, 1)] * 4):
+        alpha = CurveClass(*t)
+        if in_eff_dual(alpha) and max(degree_data(alpha)[n] for n in LINES) <= 1:
+            out.append(alpha)
+    return out
+
+
+def test_orbit_quotient_matches_naive_on_random_presentations():
+    import random
+
+    rng = random.Random(20260)
+    syms = symmetries()
+    classes = _classes_with_small_pairings()
+    assert len(classes) == 12
+    # naive enumeration at q = 3 of -K is out of reach; sample the rest
+    picks = [(2, alpha) for alpha in classes]
+    picks += [(3, alpha) for alpha in
+              rng.sample([a for a in classes if a != ANTICANONICAL], 3)]
+    for q, alpha in picks:
+        shown = apply_symmetry(alpha, syms[rng.randrange(len(syms))])
+        assert count_fast(q, shown).m_count == count_naive(q, shown).m_count, (
+            q, alpha, shown)
