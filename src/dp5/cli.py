@@ -160,24 +160,20 @@ def _load_curve(source: str, q: int):
         return None
     with open(source, encoding="utf-8") as fh:
         data = json.load(fh)
-    if data["q"] != q:
-        raise ValueError(f"curve file is over F_{data['q']}, not F_{q}")
-    return curve_from_weil(data["q"], data["g"], data["weil"])
-
-
-def _parse_prec(text: str) -> Fraction:
-    # accepts 1e-13 style targets
-    m = text.lower().split("e-")
-    if len(m) == 2 and m[0] in ("1", "1.0"):
-        return Fraction(1, 10 ** int(m[1]))
-    return Fraction(text)
+    try:
+        cq, g, weil = data["q"], data["g"], data["weil"]
+    except KeyError as ex:
+        raise ValueError(f"curve file {source} has no {ex} key") from None
+    if cq != q:
+        raise ValueError(f"curve file is over F_{cq}, not F_{q}")
+    return curve_from_weil(cq, g, weil)
 
 
 def cmd_constant(args) -> int:
     from .constants import leading_constant_direct, leading_constant_zeta
 
     curve = _load_curve(args.curve, args.q)
-    target = _parse_prec(args.prec)
+    target = Fraction(args.prec)
     t0 = time.time()
     out = {}
     if args.method in ("direct", "both"):
@@ -423,7 +419,7 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3
     except (NotInEffDual, InconsistentPairings, NotPrime, Diverges, DegenerateK,
-            TargetUnreachable, ValueError, OSError, KeyError) as ex:
+            TargetUnreachable, ValueError, OSError) as ex:
         print(f"invalid input: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
     except (DP5Error, AssertionError) as ex:

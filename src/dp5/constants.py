@@ -34,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import Diverges, NegativePointCount, TargetUnreachable
-from .gf import field_of_order
+from .errors import DP5Error, Diverges, NegativePointCount, TargetUnreachable
+from .gf import mobius_inversion, prime_power
 from .motivic import LOCAL_FACTOR_COEFFS, witt_exponents
 
 _N_CAP = 64
@@ -75,7 +75,8 @@ def _dyadic_up(x: Fraction, bits: int) -> Fraction:
 def _log1p_interval(w: Fraction, tol: Fraction):
     """(mid, rad) with log(1+w) in [mid-rad, mid+rad]; needs |w| < 1."""
     aw = abs(w)
-    assert aw < 1, "log1p series requires |w| < 1"
+    if aw >= 1:
+        raise DP5Error(f"log1p series requires |w| < 1, got |w| = {float(aw):.3g}")
     if w == 0:
         return Fraction(0), Fraction(0)
     s = Fraction(0)
@@ -92,7 +93,8 @@ def _log1p_interval(w: Fraction, tol: Fraction):
 
 def _exp_interval(m: Fraction, r: Fraction, tol: Fraction) -> CertifiedReal:
     """Interval for exp(x) over |x - m| <= r, with r < 1."""
-    assert r < 1
+    if r >= 1:
+        raise DP5Error(f"exp interval needs radius < 1, got {float(r):.3g}")
     s = Fraction(1)
     term = Fraction(1)
     aterm = Fraction(1)
@@ -129,7 +131,7 @@ class CurveZeta:
     """
 
     def __init__(self, q: int, g: int, weil: Sequence[int]):
-        field_of_order(q)
+        prime_power(q)
         weil = tuple(int(c) for c in weil)
         if g < 0 or len(weil) != 2 * g + 1:
             raise ValueError("weil polynomial must have degree exactly 2g")
@@ -168,12 +170,9 @@ class CurveZeta:
 
     def closed_points(self, n: int):
         """[a_1, ..., a_n] with a_m the number of closed points of degree m."""
-        counts = self.point_counts(n)
+        sums = mobius_inversion([0] + self.point_counts(n))
         out = []
-        for m in range(1, n + 1):
-            s = sum(
-                _mobius(m // d) * counts[d - 1] for d in range(1, m + 1) if m % d == 0
-            )
+        for m, s in enumerate(sums[1:], 1):
             if s % m != 0 or s < 0:
                 raise NegativePointCount(f"degree-{m} closed point count {s}/{m}")
             out.append(s // m)
@@ -181,20 +180,6 @@ class CurveZeta:
 
     def __repr__(self):
         return f"CurveZeta(q={self.q}, g={self.g}, h={self.h})"
-
-
-def _mobius(n: int) -> int:
-    r, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            r = -r
-        p += 1
-    if m > 1:
-        r = -r
-    return r
 
 
 def curve_from_weil(q: int, g: int, weil: Sequence[int]) -> CurveZeta:

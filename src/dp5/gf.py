@@ -14,6 +14,8 @@ anywhere in this module.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DivisionByZero, NotPrime, TooLarge
 
 _Q_CAP = 1 << 16
@@ -42,6 +44,32 @@ def prime_factors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
+    return out
+
+
+def mobius_inversion(values) -> list[int]:
+    """[0, s_1, ..., s_K] with s_m = sum over d | m of mu(m/d) * values[d].
+
+    values[0] is ignored.  One sieve gives mu(1..K); the sum then runs over
+    the multiples d, 2d, ... of each d, so the whole inversion is O(K log K).
+    """
+    n = len(values) - 1
+    mu = [1] * (n + 1)
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if not composite[p]:
+            for m in range(p, n + 1, p):
+                composite[m] = 1
+                mu[m] = -mu[m]
+            for m in range(p * p, n + 1, p * p):
+                mu[m] = 0
+    out = [0] * (n + 1)
+    for d in range(1, n + 1):
+        v = values[d]
+        if v:
+            for j in range(1, n // d + 1):
+                if mu[j]:
+                    out[j * d] += mu[j] * v
     return out
 
 
@@ -114,8 +142,8 @@ def _smallest_modulus(p: int, e: int):
     raise AssertionError("no irreducible found")  # unreachable for prime p
 
 
-def field_of_order(q: int) -> "FieldCtx":
-    """FieldCtx for any prime power q."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p**e, checked against the cap; builds no tables."""
     if q < 2:
         raise NotPrime(f"q = {q} is not a prime power")
     p = 2
@@ -130,6 +158,18 @@ def field_of_order(q: int) -> "FieldCtx":
         e += 1
     if n != 1:
         raise NotPrime(f"q = {q} is not a prime power")
+    if q > _Q_CAP:
+        raise TooLarge(f"q = {q} exceeds cap 2**16")
+    return p, e
+
+
+def field_of_order(q: int) -> "FieldCtx":
+    """FieldCtx for any prime power q, built once per process."""
+    return _field(*prime_power(q))
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, e: int) -> "FieldCtx":
     return FieldCtx(p, e)
 
 

@@ -15,17 +15,21 @@ The two nonobvious computations:
   constants module needs q >= 5.
 
 * the motivic constant: (1-u)^{-5} * prod_{k>=2} [(1-u^k)(1-u^{k-1})]^{e_k},
-  each factor expanded by the generalized binomial theorem (the exponents
-  e_k are far too large for repeated multiplication) and multiplied in as a
-  sparse series.
+  collected into one Euler product prod_{j>=1} (1-u^j)^{c_j} with
+  c_1 = e_2 - 5 and c_j = e_j + e_{j+1}.  Its log-derivative
+  u S'/S = sum_n b_n u^n has b_n = -sum_{j|n} j c_j, and the coefficients
+  follow from n s_n = sum_{k=1..n} b_k s_{n-k} by exact integer division:
+  about trunc^2/2 big-integer products, with no series multiplied at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
-from .errors import DegenerateK, NonUnit
+from .errors import DegenerateK, NonExactDivision, NonUnit
+from .gf import mobius_inversion
 
 # (1-x)^5 (1+5x+x^2) expanded; the linear term vanishes, so e_1 = 0
 LOCAL_FACTOR_COEFFS = (1, 0, -14, 35, -35, 14, 0, -1)
@@ -231,20 +235,6 @@ def divisor_class_p1(d: int):
     return (1,) * (d + 1)
 
 
-def _mobius_int(n: int) -> int:
-    r, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            r = -r
-        p += 1
-    if m > 1:
-        r = -r
-    return r
-
-
 def witt_exponents(fcoeffs, K: int):
     """Integers e_1..e_K with prod (1-x^k)^{e_k} = F(x) mod x^{K+1}.
 
@@ -255,37 +245,43 @@ def witt_exponents(fcoeffs, K: int):
     """
     assert fcoeffs[0] == 1
     f = list(fcoeffs)
+    nz = [(j, fj) for j, fj in enumerate(f) if j and fj]
     p = [0] * (K + 1)
     for m in range(1, K + 1):
-        fm = f[m] if m < len(f) else 0
-        s = m * fm
-        for j in range(1, m):
-            fj = f[j] if j < len(f) else 0
-            if fj:
-                s += fj * p[m - j]
+        s = m * f[m] if m < len(f) else 0
+        for j, fj in nz:
+            if j >= m:
+                break
+            s += fj * p[m - j]
         p[m] = -s
     e = [0] * (K + 1)
-    for k in range(1, K + 1):
-        s = sum(_mobius_int(k // d) * p[d] for d in range(1, k + 1) if k % d == 0)
-        assert s % k == 0, f"non-integral exponent at k={k}"
-        e[k] = s // k
+    for k, s in enumerate(mobius_inversion(p)[1:], 1):
+        e[k], r = divmod(s, k)
+        if r:
+            raise NonExactDivision(f"non-integral Witt exponent at k={k}")
     return e
 
 
 def motivic_constant(trunc: int) -> SeriesL:
-    """(1-u)^{-5} * prod_{k>=2} [(1-u^k)(1-u^{k-1})]^{e_k} mod u^trunc."""
-    assert trunc >= 1
+    """(1-u)^{-5} * prod_{k>=2} [(1-u^k)(1-u^{k-1})]^{e_k} mod u^trunc.
+
+    Evaluated as prod_j (1-u^j)^{c_j} by the log-derivative recurrence
+    described in the module docstring.
+    """
     e = witt_exponents(LOCAL_FACTOR_COEFFS, trunc)
-    s = (SeriesL.one(trunc) - SeriesL.monomial(trunc, 1, 1)).pow(-5)
-    for k in range(2, trunc + 1):
-        if e[k] == 0:
-            continue
-        f1 = SeriesL.one(trunc) - SeriesL.monomial(trunc, 1, k - 1)
-        s = s * f1.pow(e[k])
-        if k < trunc:
-            f2 = SeriesL.one(trunc) - SeriesL.monomial(trunc, 1, k)
-            s = s * f2.pow(e[k])
-    return s
+    b = [0] * trunc  # b[n] = -sum_{j|n} j c_j
+    for j in range(1, trunc):
+        jc = j * (e[j] + e[j + 1] - (5 if j == 1 else 0))
+        for n in range(j, trunc, j):
+            b[n] -= jc
+    b1 = b[1:]
+    s = [1]
+    for n in range(1, trunc):
+        sn, r = divmod(sum(map(mul, b1, reversed(s))), n)
+        if r:
+            raise NonExactDivision(f"motivic coefficient {n} is not an integer")
+        s.append(sn)
+    return SeriesL(trunc, s)
 
 
 # -- local Euler-factor identities --------------------------------------------
@@ -354,13 +350,13 @@ def local_identity_checks(seed: int = 0) -> dict:
     # (iv) Moebius sums over subdivisors factor through the support
     import random
 
-    from .gf import FieldCtx
+    from .gf import field_of_order
     from .p1 import Divisor, irreducibles, point_degree
 
     rng = random.Random(seed)
     ok = True
     for q in (2, 3):
-        ctx = FieldCtx(q)
+        ctx = field_of_order(q)
         pts = [None] + irreducibles(ctx, 2)
         for _ in range(10):
             support = rng.sample(pts, rng.randint(0, 3))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NegativePointCount, ZeroForm
-from .gf import FieldCtx
+from .gf import FieldCtx, mobius_inversion
 
 INF = None  # the point at infinity; every other point is a monic poly tuple
 
@@ -108,15 +108,6 @@ def pmonic(ctx: FieldCtx, a):
     if not a or a[-1] == 1:
         return a
     return pscale(ctx, a, ctx.inv(a[-1]))
-
-
-def ppow_x_mod(ctx: FieldCtx, j, m):
-    """x^j mod m, for building congruence rows without refactoring."""
-    r = (1,) if pdeg(m) > 0 else ()
-    x = (0, 1)
-    for _ in range(j):
-        r = pmod(ctx, pmul(ctx, r, x), m)
-    return r
 
 
 # -- divisors ---------------------------------------------------------------
@@ -247,18 +238,6 @@ def _poly_name(p) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def gcd_div(d1: Divisor, d2: Divisor) -> Divisor:
-    return d1.gcd(d2)
-
-
-def lcm_div(d1: Divisor, d2: Divisor) -> Divisor:
-    return d1.lcm(d2)
-
-
-def mobius(d: Divisor) -> int:
-    return d.mobius()
-
-
 # -- binary forms -------------------------------------------------------------
 
 
@@ -334,13 +313,13 @@ def enumerate_sections(ctx: FieldCtx, d: int, budget: int | None = DEFAULT_BUDGE
 
 # -- irreducibles and factorization ------------------------------------------
 
+# (p, e) -> {"max": degree searched so far, "polys": irreducibles found}
+_IRR_CACHE: dict = {}
+
 
 def irreducibles(ctx: FieldCtx, max_degree: int):
     """Monic irreducibles of degree <= max_degree, by degree then lex."""
-    cache = getattr(ctx, "_irr_cache", None)
-    if cache is None:
-        cache = {"max": 0, "polys": []}
-        ctx._irr_cache = cache
+    cache = _IRR_CACHE.setdefault((ctx.p, ctx.e), {"max": 0, "polys": []})
     q = ctx.q
     for deg in range(cache["max"] + 1, max_degree + 1):
         lower = [f for f in cache["polys"] if pdeg(f) <= deg // 2]
@@ -405,27 +384,13 @@ def forms_coprime(f: BinaryForm, g: BinaryForm) -> bool:
 # -- point counts -------------------------------------------------------------
 
 
-def _mobius_int(n: int) -> int:
-    r, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            r = -r
-        p += 1
-    if m > 1:
-        r = -r
-    return r
-
-
 def points_by_degree(q: int, n: int) -> int:
     """Number of closed points of degree n on P^1 over F_q."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n == 1:
         return q + 1
-    s = sum(_mobius_int(n // d) * q**d for d in range(1, n + 1) if n % d == 0)
+    s = mobius_inversion([q**d for d in range(n + 1)])[n]
     assert s % n == 0
     a = s // n
     if a < 0:

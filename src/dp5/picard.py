@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .errors import InconsistentPairings, NotInEffDual
+from .errors import DP5Error, InconsistentPairings, NotInEffDual
 
 LINES = ("E1", "E2", "E3", "E4", "L12", "L13", "L14", "L23", "L24", "L34")
 
@@ -97,7 +97,8 @@ def degree_data(alpha: CurveClass) -> DegreeData:
     d = pairing(alpha, ANTICANONICAL)
     # two computations of d must agree: -K pairing vs a pentagon of lines
     pent = p["L13"] + p["E3"] + p["L34"] + p["E4"] + p["L24"]
-    assert d == pent == 3 * alpha.a + sum(alpha[1:])
+    if not d == pent == 3 * alpha.a + sum(alpha[1:]):
+        raise DP5Error(f"degree cross-check failed for {tuple(alpha)}")
     return DegreeData(p, d)
 
 

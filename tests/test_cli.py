@@ -170,3 +170,31 @@ def test_motivic_record_times_the_computation(tmp_path):
     out = tmp_path / "m.json"
     assert main(["motivic", "--trunc", "60", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["wall_time"] > 0
+
+
+def test_curve_file_missing_key_exits_2(tmp_path, capsys):
+    f = tmp_path / "curve.json"
+    f.write_text(json.dumps({"q": 7, "g": 1}))
+    assert main(["constant", "--q", "7", "--curve", str(f)]) == 2
+    assert "'weil'" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_invalid_input(monkeypatch):
+    from dp5 import cli
+
+    def broken(alpha):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "chamber_normalize", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["chamber", "--class", "1,0,0,0,0"])
+
+
+def test_prec_accepts_exponent_notation(tmp_path):
+    from fractions import Fraction
+
+    out = tmp_path / "rec.json"
+    assert main(["constant", "--q", "5", "--method", "direct",
+                 "--prec", "1E-13", "--out", str(out)]) == 0
+    rad = Fraction(json.loads(out.read_text())["payload"]["direct"]["rad"])
+    assert 0 < rad <= Fraction(1, 10**13)

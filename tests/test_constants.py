@@ -151,3 +151,70 @@ def test_explicit_k_zeta_reports_honest_radius():
     assert abs(c_loose.mid - c_tight.mid) <= c_loose.rad + c_tight.rad
     with pytest.raises(TargetUnreachable):
         leading_constant_zeta(7, K=4)  # tail still bigger than 1 in the exponent
+
+
+def test_curve_zeta_validates_q_without_field_tables(monkeypatch):
+    from dp5.errors import NotPrime, TooLarge
+    from dp5.gf import FieldCtx
+
+    def no_tables(self):
+        raise AssertionError("field tables were built")
+
+    monkeypatch.setattr(FieldCtx, "_build_tables", no_tables)
+    assert curve_from_weil(65521, 0, (1,)).closed_points(2) == [
+        65522, (65521**2 - 65521) // 2]
+    with pytest.raises(NotPrime):
+        curve_from_weil(6, 0, (1,))
+    with pytest.raises(TooLarge):
+        curve_from_weil(1 << 17, 0, (1,))
+
+
+def test_interval_guards_are_not_asserts(monkeypatch):
+    from dp5 import constants
+    from dp5.cli import main
+    from dp5.errors import DP5Error
+
+    tol = Fraction(1, 10**6)
+    with pytest.raises(DP5Error, match="log1p"):
+        _log1p_interval(Fraction(-1), tol)
+    with pytest.raises(DP5Error, match="exp interval"):
+        _exp_interval(Fraction(0), Fraction(1), tol)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(constants, "local_factor", lambda x: Fraction(3))
+        with pytest.raises(DP5Error, match="log1p"):
+            leading_constant_direct(5)
+        assert main(["constant", "--q", "5", "--method", "direct"]) == 1
+
+    monkeypatch.setattr(constants, "_log1p_interval",
+                        lambda w, tol: (Fraction(0), Fraction(1)))
+    with pytest.raises(DP5Error, match="exp interval"):
+        leading_constant_direct(5)
+    assert main(["constant", "--q", "5", "--method", "direct"]) == 1
+
+
+def test_guards_survive_python_O():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "from fractions import Fraction as F\n"
+        "from dp5 import constants, motivic, picard\n"
+        "from dp5.errors import DP5Error\n"
+        "picard.ANTICANONICAL = picard.CurveClass(3, -1, -1, -1, 0)\n"
+        "calls = [lambda: constants._log1p_interval(F(2), F(1, 9)),\n"
+        "         lambda: constants._exp_interval(F(0), F(2), F(1, 9)),\n"
+        "         lambda: picard.degree_data(picard.CurveClass(0, 0, 0, 0, 1)),\n"
+        "         lambda: motivic.witt_exponents((1, F(1, 2)), 2)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except DP5Error:\n"
+        "        continue\n"
+        "    raise SystemExit('guard vanished')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -84,3 +84,45 @@ def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(12) == [2, 3]
     assert prime_factors(255) == [3, 5, 17]
+
+
+def test_prime_power_builds_nothing_and_checks_like_field_of_order():
+    from dp5.gf import prime_power
+
+    assert prime_power(2) == (2, 1)
+    assert prime_power(1024) == (2, 10)
+    assert prime_power(3**10) == (3, 10)
+    assert prime_power(65521) == (65521, 1)
+    for bad in (0, 1, 6, 12, 100):
+        with pytest.raises(NotPrime):
+            prime_power(bad)
+    with pytest.raises(TooLarge):
+        prime_power(1 << 17)
+
+
+def test_field_of_order_is_cached_and_fields_carry_no_hidden_state():
+    from dp5.p1 import irreducibles
+
+    for q in (2, 4, 9, 101):
+        assert field_of_order(q) is field_of_order(q)
+    ctx = field_of_order(3)
+    before = set(vars(ctx))
+    assert len(irreducibles(ctx, 3)) == 3 + 3 + 8
+    assert set(vars(ctx)) == before
+    # a fresh, equal context sees the same irreducibles
+    assert irreducibles(FieldCtx(3), 3) == irreducibles(ctx, 3)
+
+
+def test_mobius_inversion():
+    from dp5.gf import mobius_inversion
+
+    def mu(n):
+        ps = prime_factors(n)
+        return 0 if any(n % (p * p) == 0 for p in ps) else (-1) ** len(ps)
+
+    values = [0] + [random.Random(n).randrange(-50, 50) for n in range(1, 121)]
+    got = mobius_inversion(values)
+    for m in range(1, 121):
+        want = sum(mu(m // d) * values[d] for d in range(1, m + 1) if m % d == 0)
+        assert got[m] == want
+    assert mobius_inversion([0]) == [0]

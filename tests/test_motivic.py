@@ -159,3 +159,65 @@ def test_local_identity_checks_all_pass():
     checks = local_identity_checks()
     assert checks["all"] is True
     assert all(v for k, v in checks.items())
+
+
+def _motivic_constant_by_products(n):
+    """The product formula, factor by factor with SeriesL.pow."""
+    e = witt_exponents(LOCAL_FACTOR_COEFFS, n)
+    one = SeriesL.one(n)
+    s = (one - SeriesL.monomial(n, 1, 1)).pow(-5)
+    for k in range(2, n + 1):
+        s = s * (one - SeriesL.monomial(n, 1, k - 1)).pow(e[k])
+        if k < n:
+            s = s * (one - SeriesL.monomial(n, 1, k)).pow(e[k])
+    return s
+
+
+def test_motivic_constant_equals_the_product_formula():
+    for n in range(1, 81):
+        assert motivic_constant(n) == _motivic_constant_by_products(n)
+
+
+def test_witt_exponents_against_divisor_sums():
+    K = 300
+    f = LOCAL_FACTOR_COEFFS
+    # power sums by Newton's identity, every term written out
+    p = [0] * (K + 1)
+    for m in range(1, K + 1):
+        s = m * (f[m] if m < len(f) else 0)
+        for j in range(1, min(m, len(f))):
+            s += f[j] * p[m - j]
+        p[m] = -s
+    # sum_{d|k} d e_d = p_k, solved for e_k by trial division
+    want = [0] * (K + 1)
+    for k in range(1, K + 1):
+        rest = p[k] - sum(d * want[d] for d in range(1, k) if k % d == 0)
+        assert rest % k == 0
+        want[k] = rest // k
+    assert witt_exponents(f, K) == want
+    for k in (1, 2, 7, 30, 299):
+        assert witt_exponents(f, k) == want[: k + 1]
+
+
+def test_witt_integrality_check_is_not_an_assert(monkeypatch):
+    from dp5 import motivic
+    from dp5.cli import main
+    from dp5.errors import NonExactDivision
+
+    with pytest.raises(NonExactDivision, match="Witt exponent"):
+        witt_exponents((1, Fraction(1, 2)), 3)
+    monkeypatch.setattr(motivic, "LOCAL_FACTOR_COEFFS", (1, Fraction(1, 2)))
+    assert main(["motivic", "--trunc", "4"]) == 1
+
+
+def test_motivic_division_check_is_not_an_assert(monkeypatch):
+    from dp5 import motivic
+    from dp5.cli import main
+    from dp5.errors import NonExactDivision
+
+    # e_2 = 1/2 makes c_1 = e_2 - 5 and hence s_1 = -c_1 non-integral
+    monkeypatch.setattr(motivic, "witt_exponents",
+                        lambda f, K: [0, 0, Fraction(1, 2)] + [0] * (K - 2))
+    with pytest.raises(NonExactDivision, match="motivic coefficient 1"):
+        motivic_constant(4)
+    assert main(["motivic", "--trunc", "4"]) == 1

@@ -172,3 +172,14 @@ def test_point_counts():
             torsor_open_count(q)
             == surface_point_count(q) - 10 * (q + 1) + 15
         )
+
+
+def test_degree_cross_check_is_not_an_assert(monkeypatch):
+    from dp5 import picard
+    from dp5.cli import main
+    from dp5.errors import DP5Error
+
+    monkeypatch.setattr(picard, "ANTICANONICAL", CurveClass(3, -1, -1, -1, 0))
+    with pytest.raises(DP5Error, match="degree cross-check"):
+        degree_data(CurveClass(0, 0, 0, 0, 1))
+    assert main(["chamber", "--class", "0,0,0,0,1"]) == 1
