@@ -31,6 +31,7 @@ from .errors import (
     NotInEffDual,
     NotPrime,
     TargetUnreachable,
+    TooLarge,
 )
 from .picard import (
     LINES,
@@ -79,20 +80,6 @@ def _write_record(path: str, rec: dict):
         fh.write("\n")
 
 
-def _sweep_row(res, c) -> dict:
-    ratio = res.ratio()
-    return {
-        "class": ",".join(str(x) for x in res.alpha),
-        "d": res.degree,
-        "d1": min(res.pairings),
-        "hom_count": res.hom,
-        "ratio": float(ratio),
-        "c_mid": float(c.mid),
-        "c_rad": float(c.rad),
-        "rel_err": float(abs(ratio - c.mid) / c.mid),
-    }
-
-
 def _class_arg(args) -> CurveClass:
     if bool(args.cls) == bool(args.pairings):
         raise ValueError("give exactly one of --class or --pairings")
@@ -100,7 +87,7 @@ def _class_arg(args) -> CurveClass:
 
 
 def cmd_count(args) -> int:
-    from .count import count_fast, count_naive
+    from .count import count_fast, count_naive, sweep_row
 
     alpha = _class_arg(args)
     t0 = time.time()
@@ -123,12 +110,13 @@ def cmd_count(args) -> int:
         "work": res.work,
         "quadruples": res.quadruples,
         "orbits": res.orbits,
+        "kernels": res.kernels,
         "ratio": float(ratio),
     }
     if args.format == "csv":
         from .constants import leading_constant_direct
 
-        row = _sweep_row(res, leading_constant_direct(args.q))
+        row = sweep_row(res, leading_constant_direct(args.q))
         w = csv.DictWriter(
             sys.stdout, fieldnames=SWEEP_COLUMNS, lineterminator="\n"
         )
@@ -418,8 +406,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3
-    except (NotInEffDual, InconsistentPairings, NotPrime, Diverges, DegenerateK,
-            TargetUnreachable, ValueError, OSError) as ex:
+    except (NotInEffDual, InconsistentPairings, NotPrime, TooLarge, Diverges,
+            DegenerateK, TargetUnreachable, ValueError, OSError) as ex:
         print(f"invalid input: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
     except (DP5Error, AssertionError) as ex:

@@ -31,27 +31,40 @@ P1 and P5 then hold identically.  Since scaling a' by (F_q^*)^4 permutes
 solutions, only first-nonzero-coefficient-one representatives of a' are
 enumerated and the outer factor (q-1)^4 is restored at the end.
 
-A change of variables g in PGL2(F_q) on the line maps the solutions over a'
-bijectively onto those over a' o g: it preserves degrees, the Pluecker
-relations, nonvanishing and coprimality, at infinity too.  So the kernel
-count is run once per orbit of normalised coprime quadruples, on its least
-member in enumeration order, and weighted by the orbit size.
+The kernel count is constant on the orbits of G = PGL2(F_q) x Stab acting on
+normalised coprime quadruples:
+
+- A change of variables g in PGL2(F_q) on the line maps the solutions over
+  a' bijectively onto those over a' o g: it preserves degrees, the Pluecker
+  relations, nonvanishing and coprimality, at infinity too.
+- Stab is the set of permutations sigma of a1..a4 that keep their degrees.
+  sigma lies in S4 < S5 = W(A4), which fixes H, permutes E1..E4 and sends
+  L_ij to L_sigma(i)sigma(j); it permutes the five Pluecker relations up to
+  sign and preserves the thirty disjoint pairs.  Since deg a_ij = a - d_i -
+  d_j, equal E-degrees force equal L-degrees, so sigma maps the solutions
+  over a' onto those over sigma a'.  Signs only flip some a_ij, which keeps
+  nonvanishing and coprimality.
+- sigma commutes with every g, so G is a direct product.
+
+_orbit_reps walks the quadruples with form indices nondecreasing inside each
+block of equal degree and keeps the least member of each G-orbit; count_fast
+deals these representatives round-robin to the workers, and each kernel
+count is weighted by its orbit size.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
+from math import comb, factorial
 from typing import NamedTuple, Optional
 
-from fractions import Fraction
-
 from .errors import BudgetExceeded, DP5Error, NonExactDivision, NotInEffDual
-from .gf import FieldCtx, field_of_order
+from .gf import FieldCtx, field_of_order, prime_power
 from .p1 import BinaryForm, form_from_index, padd, pdeg, pgcd, pmul, pstrip, psub
 from .picard import (
     LINES,
     CurveClass,
-    boundary_distance,
     chamber_normalize,
     degree_data,
     in_eff_dual,
@@ -95,7 +108,8 @@ class CountResult(NamedTuple):
     method: str
     work: int
     quadruples: int = 0  # coprime normalised quadruples a' (count_fast only)
-    orbits: int = 0  # their PGL2(F_q) orbits, one kernel count each
+    orbits: int = 0  # their PGL2(F_q) orbits
+    kernels: int = 0  # kernel counts run: one per orbit of PGL2(F_q) x Stab
 
     def ratio(self) -> Fraction:
         return Fraction(self.hom, self.q ** (self.degree + 2))
@@ -141,6 +155,7 @@ def count_naive(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Coun
     alpha = CurveClass(*alpha)
     if not in_eff_dual(alpha):
         raise NotInEffDual(f"{alpha} pairs negatively with some line")
+    prime_power(q)
     dd = degree_data(alpha)
     degs = [dd[name] for name in COORD_NAMES]
     budget = _budget(budget)
@@ -464,19 +479,20 @@ def _count_inner_generic(ctx, afixed, degs6, vectors):
     return accepted, q**dim
 
 
-def _fast_worker(args):
-    """Count over the a1 slice {indices == offset mod stride}.
+def _orbit_reps(q: int, pairings):
+    """One representative per G-orbit of coprime normalised quadruples.
 
-    Each PGL2 orbit of coprime quadruples is counted once, in the slice that
-    holds its least member.  Returns (total, work, quadruples, orbits).
+    G = PGL2(F_q) x Stab, where Stab permutes positions of a1..a4 inside each
+    run of equal consecutive degrees (after chamber_normalize, d1 <= .. <= d4,
+    so the runs are the blocks of equal degree).  The walk visits only tuples
+    of form indices that are nondecreasing inside each run and keeps t when
+    no run-sorted PGL2 image of t is smaller.  Returns a list of (coeffs,
+    size, pgl2_orbits): the four forms as coefficient tuples, |G.t|, and the
+    number of PGL2 orbits inside G.t, which is |G.t| / |PGL2.t|.
     """
-    q, pairings, offset, stride, budget = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
-    dpp = (dd["L13"], dd["L24"], dd["L34"])
-    degs6 = (dd["L13"], dd["L24"], dd["L34"], dd["L14"], dd["L23"], dd["L12"])
-    derived = (dd["L14"], dd["L23"], dd["L12"])
     lists = {d: _monic_forms(ctx, d) for d in set(degs)}
     # with all four degrees zero there is a single quadruple
     group = _pgl2(ctx) if max(degs) else [(1, 0, 0, 1)]
@@ -504,41 +520,92 @@ def _fast_worker(args):
     c23, c24, c34 = coprime(d2, d3), coprime(d2, d4), coprime(d3, d4)
     l1, l2, l3, l4 = (lists[d] for d in degs)
     o1, o2, o3, o4 = (images[d] for d in degs)
+    runs = _runs(degs)
+    # inside a run the walk keeps form indices nondecreasing
+    tied = [p > 0 and degs[p] == degs[p - 1] for p in range(4)]
+
+    def canon(u):
+        return tuple(v for a, b in runs for v in sorted(u[a:b]))
+
+    reps = []
+    for i1 in range(len(l1)):
+        r12, r13, r14 = c12[i1], c13[i1], c14[i1]
+        for i2 in range(i1 if tied[1] else 0, len(l2)):
+            if not r12[i2]:
+                continue
+            r23, r24 = c23[i2], c24[i2]
+            for i3 in range(i2 if tied[2] else 0, len(l3)):
+                if not (r13[i3] and r23[i3]):
+                    continue
+                r34 = c34[i3]
+                for i4 in range(i3 if tied[3] else 0, len(l4)):
+                    if not (r14[i4] and r24[i4] and r34[i4]):
+                        continue
+                    t = (i1, i2, i3, i4)
+                    pgl2_orbit = set()
+                    for u in zip(o1[i1], o2[i2], o3[i3], o4[i4]):
+                        if canon(u) < t:
+                            break
+                        pgl2_orbit.add(u)
+                    else:
+                        sorted_images = set(map(canon, pgl2_orbit))
+                        size = sum(_arrangements(s, runs) for s in sorted_images)
+                        coeffs = tuple(
+                            f.coeffs for f in (l1[i1], l2[i2], l3[i3], l4[i4])
+                        )
+                        reps.append((coeffs, size, size // len(pgl2_orbit)))
+    return reps
+
+
+def _runs(degs):
+    """(start, end) slices of the runs of equal consecutive degrees."""
+    bounds = [0] + [p for p in range(1, len(degs)) if degs[p] != degs[p - 1]]
+    return list(zip(bounds, bounds[1:] + [len(degs)]))
+
+
+def _arrangements(t, runs) -> int:
+    """|Stab.t|: the distinct rearrangements of t inside each run."""
+    n = 1
+    for a, b in runs:
+        n *= factorial(b - a)
+        for v in set(t[a:b]):
+            n //= factorial(t[a:b].count(v))
+    return n
+
+
+def _fast_worker(args):
+    """Run the kernel count of each G-orbit representative in one shard.
+
+    reps is a slice of _orbit_reps.  Returns (total, work, quadruples,
+    orbits): the accepted vectors weighted by orbit size, the kernel vectors
+    enumerated, and the coprime quadruples and PGL2 orbits the shard stands
+    for.
+    """
+    q, pairings, reps, budget = args
+    ctx = field_of_order(q)
+    dd = dict(zip(LINES, pairings))
+    degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
+    dpp = (dd["L13"], dd["L24"], dd["L34"])
+    degs6 = (dd["L13"], dd["L24"], dd["L34"], dd["L14"], dd["L23"], dd["L12"])
+    derived = (dd["L14"], dd["L23"], dd["L12"])
     inner = _count_inner_f2 if q == 2 else None
     total = 0
     work = 0
     quadruples = 0
     orbits = 0
-    for i1 in range(offset, len(l1), stride):
-        r12, r13, r14 = c12[i1], c13[i1], c14[i1]
-        for i2 in range(len(l2)):
-            if not r12[i2]:
-                continue
-            r23, r24 = c23[i2], c24[i2]
-            for i3 in range(len(l3)):
-                if not (r13[i3] and r23[i3]):
-                    continue
-                r34 = c34[i3]
-                for i4 in range(len(l4)):
-                    if not (r14[i4] and r24[i4] and r34[i4]):
-                        continue
-                    quadruples += 1
-                    orbit = set(zip(o1[i1], o2[i2], o3[i3], o4[i4]))
-                    if min(orbit) != (i1, i2, i3, i4):
-                        continue
-                    orbits += 1
-                    afixed = (l1[i1], l2[i2], l3[i3], l4[i4])
-                    dim, vectors = _kernel_coords(afixed, dpp, derived)
-                    if work + q**dim > budget:
-                        raise BudgetExceeded(
-                            f"kernel enumeration exceeded budget {budget}"
-                        )
-                    if inner is not None:
-                        acc, vecs = inner(afixed, degs6, vectors)
-                    else:
-                        acc, vecs = _count_inner_generic(ctx, afixed, degs6, vectors)
-                    total += acc * len(orbit)
-                    work += vecs
+    for coeffs, size, pgl2_orbits in reps:
+        afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
+        dim, vectors = _kernel_coords(afixed, dpp, derived)
+        if work + q**dim > budget:
+            raise BudgetExceeded(f"kernel enumeration exceeded budget {budget}")
+        if inner is not None:
+            acc, vecs = inner(afixed, degs6, vectors)
+        else:
+            acc, vecs = _count_inner_generic(ctx, afixed, degs6, vectors)
+        total += acc * size
+        work += vecs
+        quadruples += size
+        orbits += pgl2_orbits
     return total, work, quadruples, orbits
 
 
@@ -557,28 +624,35 @@ def count_fast(
     alpha = CurveClass(*alpha)
     if not in_eff_dual(alpha):
         raise NotInEffDual(f"{alpha} pairs negatively with some line")
+    prime_power(q)
     dd0 = degree_data(alpha)
     _, _, dd = chamber_normalize(alpha)
     pairings = _pairings_tuple(dd)
     budget = _budget(budget)
+    degs = [dd[name] for name in ("E1", "E2", "E3", "E4")]
+    # the tuples the walk of _orbit_reps visits: a multiset of k forms for
+    # each run of k equal degrees d
     est = 1
-    for name in ("E1", "E2", "E3", "E4"):
-        est *= (q ** (dd[name] + 1) - 1) // (q - 1)
+    for a, b in _runs(degs):
+        est *= comb((q ** (degs[a] + 1) - 1) // (q - 1) + b - a - 1, b - a)
     if est > budget:
         raise BudgetExceeded(f"quadruple enumeration needs {est} > budget {budget}")
-    degs = {dd[name] for name in ("E1", "E2", "E3", "E4")}
     if max(degs):
-        tables = q * (q * q - 1) * sum((q ** (d + 1) - 1) // (q - 1) for d in degs)
+        tables = q * (q * q - 1) * sum(
+            (q ** (d + 1) - 1) // (q - 1) for d in set(degs)
+        )
         if tables > budget:
             raise BudgetExceeded(f"orbit tables need {tables} > budget {budget}")
 
-    if workers <= 1:
-        parts = [_fast_worker((q, pairings, 0, 1, budget))]
+    reps = _orbit_reps(q, pairings)
+    shards = max(1, min(workers, len(reps)))
+    jobs = [(q, pairings, reps[w::shards], budget) for w in range(shards)]
+    if shards == 1:
+        parts = [_fast_worker(jobs[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(q, pairings, w, workers, budget) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=shards) as pool:
             parts = list(pool.map(_fast_worker, jobs))
     total, work, quadruples, orbits = (sum(col) for col in zip(*parts))
     if work > budget:
@@ -596,38 +670,39 @@ def count_fast(
         work,
         quadruples,
         orbits,
+        len(reps),
     )
 
 
 # -- sweeps --------------------------------------------------------------------
 
 
+def sweep_row(res: CountResult, c) -> dict:
+    """One sweep row: the class, its degree and boundary distance, the
+    morphism count, the ratio hom/q^(d+2), and the certified constant c with
+    the relative error of the ratio against it."""
+    ratio = res.ratio()
+    return {
+        "class": ",".join(str(x) for x in res.alpha),
+        "d": res.degree,
+        "d1": min(res.pairings),
+        "hom_count": res.hom,
+        "ratio": float(ratio),
+        "c_mid": float(c.mid),
+        "c_rad": float(c.rad),
+        "rel_err": float(abs(ratio - c.mid) / c.mid),
+    }
+
+
 def sweep(q: int, classes, workers: int = 1, budget: Optional[int] = None):
     """Count every class and compare against the leading constant.
 
-    Returns one row per class: the class, its degree and boundary distance,
-    the morphism count, the normalized ratio hom/q^(d+2), and the certified
-    constant with the relative error of the ratio against it.
+    Returns one sweep_row per class.
     """
     from .constants import leading_constant_direct
 
     c = leading_constant_direct(q)
-    rows = []
-    for alpha in classes:
-        alpha = CurveClass(*alpha)
-        res = count_fast(q, alpha, workers=workers, budget=budget)
-        ratio = res.ratio()
-        rel = abs(ratio - c.mid) / c.mid
-        rows.append(
-            {
-                "class": ",".join(str(x) for x in alpha),
-                "d": res.degree,
-                "d1": boundary_distance(alpha),
-                "hom_count": res.hom,
-                "ratio": float(ratio),
-                "c_mid": float(c.mid),
-                "c_rad": float(c.rad),
-                "rel_err": float(rel),
-            }
-        )
-    return rows
+    return [
+        sweep_row(count_fast(q, alpha, workers=workers, budget=budget), c)
+        for alpha in classes
+    ]

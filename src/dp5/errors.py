@@ -66,5 +66,13 @@ class DegenerateK(DP5Error):
     """k = 1 hits the zeta pole; no inverse Euler factor exists."""
 
 
+class TruncationMismatch(ValueError, AssertionError):
+    """Series of different truncation orders were combined.
+
+    A ValueError; also an AssertionError, which is what callers caught while
+    this check was a bare assert.
+    """
+
+
 class NonUnit(DP5Error):
     """Series has no inverse over the integers (constant term not a unit)."""

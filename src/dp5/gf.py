@@ -146,6 +146,8 @@ def prime_power(q: int) -> tuple[int, int]:
     """(p, e) with q = p**e, checked against the cap; builds no tables."""
     if q < 2:
         raise NotPrime(f"q = {q} is not a prime power")
+    if q > _Q_CAP:
+        raise TooLarge(f"q = {q} exceeds cap 2**16")
     p = 2
     while p * p <= q and q % p:
         p += 1
@@ -158,8 +160,6 @@ def prime_power(q: int) -> tuple[int, int]:
         e += 1
     if n != 1:
         raise NotPrime(f"q = {q} is not a prime power")
-    if q > _Q_CAP:
-        raise TooLarge(f"q = {q} exceeds cap 2**16")
     return p, e
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .errors import DegenerateK, NonExactDivision, NonUnit
+from .errors import DegenerateK, NonExactDivision, NonUnit, TruncationMismatch
 from .gf import mobius_inversion
 
 # (1-x)^5 (1+5x+x^2) expanded; the linear term vanishes, so e_1 = 0
@@ -69,7 +69,12 @@ class SeriesL:
         return cls(trunc, c)
 
     def _same(self, other):
-        assert isinstance(other, SeriesL) and other.trunc == self.trunc
+        if not isinstance(other, SeriesL):
+            raise TypeError(f"cannot combine SeriesL with {type(other).__name__}")
+        if other.trunc != self.trunc:
+            raise TruncationMismatch(
+                f"truncations differ: {self.trunc} and {other.trunc}"
+            )
         return other
 
     def __add__(self, other):

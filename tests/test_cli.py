@@ -198,3 +198,21 @@ def test_prec_accepts_exponent_notation(tmp_path):
                  "--prec", "1E-13", "--out", str(out)]) == 0
     rad = Fraction(json.loads(out.read_text())["payload"]["direct"]["rad"])
     assert 0 < rad <= Fraction(1, 10**13)
+
+
+def test_budget_counts_the_tuples_the_walk_visits(capsys):
+    # 46 376 run-sorted quadruple tuples, 14 720 kernel vectors; the old
+    # estimate 31^4 = 923 521 refused this budget
+    assert main(["count", "--q", "2", "--class", "12,-4,-4,-4,-4",
+                 "--budget", "309760"]) == 0
+    assert "hom_count = 34560" in capsys.readouterr().out
+    assert main(["count", "--q", "2", "--class", "12,-4,-4,-4,-4",
+                 "--budget", "46375"]) == 3
+
+
+def test_q_above_the_cap_is_invalid_input(capsys):
+    assert main(["count", "--q", "131072", "--class", "3,-1,-1,-1,-1"]) == 2
+    assert main(["count", "--q", "131072", "--class", "3,-1,-1,-1,-1",
+                 "--method", "naive"]) == 2
+    assert main(["constant", "--q", "131072"]) == 2
+    assert "TooLarge" in capsys.readouterr().err

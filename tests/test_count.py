@@ -183,8 +183,9 @@ def test_funnel_and_work_independent_of_workers():
         assert r1 == r2
 
 
-# at q = 2, (8,-2,-2,-2,-2) splits its work 6144 + 2048 over two shards, so
-# with two workers only the check of the summed work can refuse work - 1
+# at q = 2, (8,-2,-2,-2,-2) is one orbit of 2048 kernel vectors, whose
+# quadruple estimate (15) is far below its work; split shards are in
+# test_summed_budget_refuses_shards_that_each_fit
 @pytest.mark.parametrize("q,text", [(3, "2,-1,-1,-1,0"), (2, "8,-2,-2,-2,-2")])
 def test_budget_verdict_independent_of_workers(q, text):
     alpha = _cls(text)
@@ -246,3 +247,80 @@ def test_orbit_quotient_matches_naive_on_random_presentations():
         shown = apply_symmetry(alpha, syms[rng.randrange(len(syms))])
         assert count_fast(q, shown).m_count == count_naive(q, shown).m_count, (
             q, alpha, shown)
+
+
+def _unreduced_m_count(q, alpha):
+    """Kernel counts summed over every coprime normalised quadruple, no group."""
+    from itertools import combinations, product
+
+    from dp5.count import (
+        _coprime_triples,
+        _count_inner_f2,
+        _count_inner_generic,
+        _kernel_coords,
+        _monic_forms,
+    )
+    from dp5.gf import field_of_order
+    from dp5.p1 import pdeg
+    from dp5.picard import chamber_normalize
+
+    ctx = field_of_order(q)
+    _, _, dd = chamber_normalize(alpha)
+    dpp = (dd["L13"], dd["L24"], dd["L34"])
+    derived = (dd["L14"], dd["L23"], dd["L12"])
+    forms = [_monic_forms(ctx, dd[name]) for name in ("E1", "E2", "E3", "E4")]
+    total = 0
+    for afixed in product(*forms):
+        trip = [(f, f.dehom(), pdeg(f.dehom()) < f.d) for f in afixed]
+        if not all(_coprime_triples(ctx, a, b) for a, b in combinations(trip, 2)):
+            continue
+        _, vectors = _kernel_coords(afixed, dpp, derived)
+        if q == 2:
+            acc, _ = _count_inner_f2(afixed, dpp + derived, vectors)
+        else:
+            acc, _ = _count_inner_generic(ctx, afixed, dpp + derived, vectors)
+        total += acc
+    return total * (q - 1) ** 4
+
+
+def test_group_quotient_matches_unreduced_count():
+    cases = [
+        (2, scale(ANTICANONICAL, 2)),
+        (2, scale(ANTICANONICAL, 3)),
+        (3, ANTICANONICAL),
+        (3, _cls("2,-1,-1,-1,0")),
+        (4, ANTICANONICAL),
+    ]
+    for q, alpha in cases:
+        assert count_fast(q, alpha).m_count == _unreduced_m_count(q, alpha), (q, alpha)
+
+
+def test_kernel_counts_run_once_per_group_orbit():
+    cases = [
+        (2, scale(ANTICANONICAL, 4), 115, 14720),
+        (2, scale(ANTICANONICAL, 3), 6, 384),
+        (5, ANTICANONICAL, 1, 625),
+        (4, ANTICANONICAL, 1, 256),
+    ]
+    for q, alpha, kernels, work in cases:
+        for workers in (1, 2):
+            res = count_fast(q, alpha, workers=workers)
+            assert (res.kernels, res.work) == (kernels, work), (q, alpha, workers)
+    assert count_naive(2, _cls("1,0,0,0,0")).kernels == 0
+
+
+def test_summed_budget_refuses_shards_that_each_fit():
+    from dp5 import count
+    from dp5.picard import chamber_normalize
+
+    q, alpha = 4, _cls("2,-2,0,0,0")
+    pairings = tuple(chamber_normalize(alpha)[2][name] for name in LINES)
+    reps = count._orbit_reps(q, pairings)
+    # three orbits of 1024 vectors, dealt 2048 + 1024 to two workers
+    shard_work = [count._fast_worker((q, pairings, reps[w::2], 10**9))[1]
+                  for w in (0, 1)]
+    assert shard_work == [2048, 1024]
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            count_fast(q, alpha, workers=workers, budget=3071)
+        assert count_fast(q, alpha, workers=workers, budget=3072).work == 3072

@@ -126,3 +126,14 @@ def test_mobius_inversion():
         want = sum(mu(m // d) * values[d] for d in range(1, m + 1) if m % d == 0)
         assert got[m] == want
     assert mobius_inversion([0]) == [0]
+
+
+def test_prime_power_checks_the_cap_before_factoring():
+    from dp5.gf import prime_power
+
+    # 3 * 2^17 is no prime power; the cap refuses it before trial division
+    with pytest.raises(TooLarge):
+        prime_power(3 << 17)
+    # a prime near 1e14 would take seconds of trial division
+    with pytest.raises(TooLarge):
+        prime_power(10**14 + 31)

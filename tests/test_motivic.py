@@ -221,3 +221,26 @@ def test_motivic_division_check_is_not_an_assert(monkeypatch):
     with pytest.raises(NonExactDivision, match="motivic coefficient 1"):
         motivic_constant(4)
     assert main(["motivic", "--trunc", "4"]) == 1
+
+
+def test_truncation_check_survives_python_O():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "from dp5.motivic import SeriesL\n"
+        "a, b = SeriesL(3, (1, 2, 3)), SeriesL(5, (1, 1, 1, 1, 1))\n"
+        "for call, exc in ((lambda: a + b, ValueError),\n"
+        "                  (lambda: a * b, ValueError),\n"
+        "                  (lambda: a - 1, TypeError)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except exc:\n"
+        "        continue\n"
+        "    raise SystemExit('check vanished')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
