@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InconsistentH0, PreconditionViolated
+from .errors import BudgetExceeded, DP5Error, InconsistentH0, PreconditionViolated
 from .gf import FieldCtx, field_of_order
 from .p1 import (
     INF,
@@ -125,7 +125,8 @@ def _twist_rows(ctx: FieldCtx, conds, dpp, m: int):
         return sizes, offs, 0, rows
     for zf, zinf, terms in conds:
         dw = terms[0][2] + dpp[terms[0][0]] + m
-        assert all(md + dpp[b] + m == dw for b, mc, md, sgn in terms)
+        if any(md + dpp[b] + m != dw for b, mc, md, sgn in terms):
+            raise DP5Error(f"condition terms disagree in degree at twist {m}")
         if dw < 0:
             continue
         degm = pdeg(zf)
@@ -324,7 +325,8 @@ class CongruenceBundle:
 
 def build_bundle(aprime, dpp, D=None, E=None) -> CongruenceBundle:
     aprime = tuple(aprime)
-    assert len(aprime) == 4
+    if len(aprime) != 4:
+        raise ValueError(f"a' needs four forms, got {len(aprime)}")
     ctx = aprime[0].ctx
     dpp = tuple(dpp)
     D = tuple(D) if D is not None else _ZERO4

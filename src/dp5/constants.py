@@ -219,17 +219,24 @@ def _to_target(run, target: Fraction) -> CertifiedReal:
     raise TargetUnreachable(f"could not certify radius {float(target):.3g}")
 
 
+def _checked_inputs(q: int, curve: Optional[CurveZeta], target_radius):
+    """The target radius and the base curve (the projective line by default)."""
+    target = Fraction(target_radius)
+    if target <= 0:
+        raise ValueError(f"target radius must be positive, got {target}")
+    curve = projective_line(q) if curve is None else curve
+    if curve.q != q:
+        raise ValueError(f"curve is over F_{curve.q}, not F_{q}")
+    return target, curve
+
+
 def leading_constant_direct(
     q: int,
     curve: Optional[CurveZeta] = None,
     target_radius=Fraction(1, 10**13),
 ) -> CertifiedReal:
     """Certified c by direct accumulation of point degrees up to a cutoff."""
-    target = Fraction(target_radius)
-    assert target > 0
-    if curve is None:
-        curve = projective_line(q)
-    assert curve.q == q
+    target, curve = _checked_inputs(q, curve, target_radius)
     g = curve.g
 
     def tail_bound(n):
@@ -288,11 +295,7 @@ def leading_constant_zeta(
     (3/2 + 11g/5) q^{1-k} gives a geometric tail with ratio 24/(5q), so the
     method requires q >= 5.
     """
-    target = Fraction(target_radius)
-    assert target > 0
-    if curve is None:
-        curve = projective_line(q)
-    assert curve.q == q
+    target, curve = _checked_inputs(q, curve, target_radius)
     g = curve.g
     r = Fraction(24, 5 * q)
     if r >= 1:

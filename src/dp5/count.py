@@ -31,6 +31,17 @@ P1 and P5 then hold identically.  Since scaling a' by (F_q^*)^4 permutes
 solutions, only first-nonzero-coefficient-one representatives of a' are
 enumerated and the outer factor (q-1)^4 is restored at the end.
 
+The kernel, an F_q-space of dimension dim, is walked as an F_p-space of
+dimension e*dim (q = p^e).  The six varying forms (a13, a24, a34, a14, a23,
+a12) are packed into one int, one lane per base-p digit of each coefficient,
+and a p-ary Gray code reaches every vector once, adding one basis vector per
+step: an XOR at p = 2, a lane-wise add mod p otherwise.  Coprimality is read
+off root masks built once per count for each slot degree: bit 0 is the point
+at infinity, then one bit per monic irreducible, so two forms share a point
+exactly when their masks meet.  A vector is accepted when its six forms are
+nonzero and their masks miss those of the disjoint outer forms and of the
+disjoint varying forms.
+
 The kernel count is constant on the orbits of G = PGL2(F_q) x Stab acting on
 normalised coprime quadruples:
 
@@ -61,7 +72,18 @@ from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, DP5Error, NonExactDivision, NotInEffDual
 from .gf import FieldCtx, field_of_order, prime_power
-from .p1 import BinaryForm, form_from_index, padd, pdeg, pgcd, pmul, pstrip, psub
+from .p1 import (
+    BinaryForm,
+    factor_poly,
+    form_from_index,
+    irreducibles,
+    padd,
+    pdeg,
+    pgcd,
+    pmul,
+    pstrip,
+    psub,
+)
 from .picard import (
     LINES,
     CurveClass,
@@ -121,10 +143,6 @@ def _budget(budget: Optional[int]) -> int:
     return int(os.environ.get("DP5_BUDGET", DEFAULT_BUDGET))
 
 
-def _pairings_tuple(dd) -> tuple:
-    return tuple(dd[name] for name in LINES)
-
-
 # -- naive enumeration ---------------------------------------------------------
 
 # for each position, the disjoint pairs completed at that position
@@ -133,14 +151,15 @@ _PAIRS_AT = tuple(
 )
 
 
+def _triple(f: BinaryForm):
+    """(f, f(x, 1), whether f vanishes at infinity), as _coprime_triples reads."""
+    dh = f.dehom()
+    return f, dh, pdeg(dh) < f.d
+
+
 def _forms_nonzero(ctx: FieldCtx, d: int):
     """All q^(d+1) - 1 nonzero forms of degree d, as check-ready triples."""
-    out = []
-    for idx in range(1, ctx.q ** (d + 1)):
-        f = form_from_index(ctx, d, idx)
-        dh = f.dehom()
-        out.append((f, dh, pdeg(dh) < d))
-    return out
+    return [_triple(form_from_index(ctx, d, i)) for i in range(1, ctx.q ** (d + 1))]
 
 
 def _coprime_triples(ctx, a, b) -> bool:
@@ -211,7 +230,7 @@ def count_naive(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Coun
     place(0)
     _check_torus(m, q)
     return CountResult(
-        q, alpha, _pairings_tuple(dd), dd.d, m, m // (q - 1) ** 5, "naive", work
+        q, alpha, dd.as_tuple(), dd.d, m, m // (q - 1) ** 5, "naive", work
     )
 
 
@@ -277,15 +296,6 @@ def _check_torus(m: int, q: int):
         raise DP5Error(f"torus action is not free: (q-1)^5 does not divide {m}")
 
 
-def _f2_mod(a: int, b: int) -> int:
-    db = b.bit_length()
-    da = a.bit_length()
-    while da >= db:
-        a ^= b << (da - db)
-        da = a.bit_length()
-    return a
-
-
 def _form_divexact(ctx, num, den, dout: int):
     """num/den as a form coefficient tuple of degree dout (tuples, any q)."""
     from .p1 import pdivmod
@@ -309,7 +319,6 @@ def _kernel_coords(aprime, dpp, derived_degs):
 
     a1, a2, a3, a4 = aprime
     ctx = a1.ctx
-    d13, d24, d34 = dpp
     d14, d23, d12 = derived_degs
     sizes, offs, basis = plucker_kernel(aprime, dpp)
     vectors = []
@@ -335,148 +344,140 @@ def _kernel_coords(aprime, dpp, derived_degs):
     return len(basis), vectors
 
 
-def _int_of(coeffs) -> int:
-    v = 0
-    for j, c in enumerate(coeffs):
-        if c:
-            v |= 1 << j
-    return v
+# the six varying slots in kernel-vector order, each with the two outer
+# forms a_i whose lines are disjoint from it
+_SLOTS = ("L13", "L24", "L34", "L14", "L23", "L12")
+_FIXED_PARTNERS = tuple(
+    tuple(i for i, j in DISJOINT_PAIRS if i < 4 and COORD_NAMES[j] == name)
+    for name in _SLOTS
+)
+# complementary lines (L13, L24 and so on) meet and every other pair of slots
+# is disjoint, so the twelve slot pairs are the cross pairs of these groups
+_SLOT_GROUPS = ((0, 1), (2, 5), (3, 4))
 
 
-def _count_inner_f2(afixed, degs6, vectors):
-    """Accepted kernel vectors over F_2, Gray-code enumeration."""
-    d13, d24, d34, d14, d23, d12 = degs6
-    a = [(_int_of(f.coeffs), f.d) for f in afixed]
-    deltas = [tuple(_int_of(c) for c in vec) for vec in vectors]
-    dim = len(deltas)
-    # pair checks: (slot of varying form, fixed int, fixed degree) and
-    # (slot, slot) among the varying six; slots ordered 13,24,34,14,23,12
-    slot_deg = (d13, d24, d34, d14, d23, d12)
-    slot_name = ("L13", "L24", "L34", "L14", "L23", "L12")
-    fixed_pairs = []
-    var_pairs = []
-    for i, j in DISJOINT_PAIRS:
-        if j < 4:
+def _lane_width(p: int) -> int:
+    """Bits per base-p digit: 1 at p = 2, else a sum of two digits plus a
+    flag bit."""
+    return 1 if p == 2 else (2 * p - 1).bit_length() + 1
+
+
+def _packed_basis(ctx: FieldCtx, vectors):
+    """X^i * v packed for each coefficient tuple v and i < e: an F_p-basis
+    of the F_q-span of the v.  A packed int holds one lane per base-p digit
+    of each coefficient, low digit first."""
+    p, w = ctx.p, _lane_width(ctx.p)
+    basis = []
+    for v in vectors:
+        for i in range(ctx.e):
+            x = shift = 0
+            for c in v:
+                c = ctx.mul(p**i, c)
+                for _ in range(ctx.e):
+                    x |= (c % p) << shift
+                    c //= p
+                    shift += w
+            basis.append(x)
+    return basis
+
+
+def _walk(p: int, basis):
+    """Every nonzero F_p-combination of the packed basis, once each.
+
+    Modular p-ary Gray code: step t adds basis[nu_p(t)], so after step t the
+    coordinate on basis[k] is t_k - t_(k+1) mod p in the base-p digits of t,
+    a bijection.  At p = 2 a step is one XOR; at odd p one lane-wise add mod
+    p, where K adds 2^(w-1) - p to every lane and H picks the flag bits of
+    the lanes that reached p.
+    """
+    x = 0
+    if p == 2:
+        for t in range(1, 1 << len(basis)):
+            x ^= basis[(t & -t).bit_length() - 1]
+            yield x
+        return
+    w = _lane_width(p)
+    lanes = -(-max((b.bit_length() for b in basis), default=0) // w)
+    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
+    K, H = ones * ((1 << (w - 1)) - p), ones << (w - 1)
+    for t in range(1, p ** len(basis)):
+        k, n = 0, t
+        while n % p == 0:
+            n //= p
+            k += 1
+        s = x + basis[k]
+        x = s - p * (((s + K) & H) >> (w - 1))
+        yield x
+
+
+def _root_masks(ctx: FieldCtx, degrees):
+    """(tables, bits) for the slot degrees of one count.
+
+    tables[d] maps each packed nonzero form of degree d to its root mask:
+    bit 0 is the point at infinity, the form t, then one bit per monic
+    irreducible in p1.irreducibles order, so the numbering is shared across
+    degrees.  bits maps each point's coefficient tuple to its bit.  A table
+    is built by walking the multiples pi*g of each point pi of degree <= d.
+    """
+    points = [(1, 0)] + irreducibles(ctx, max(degrees))
+    tables = {}
+    for d in set(degrees):
+        table = tables[d] = {}
+        if d == 0:  # the nonzero constants have no points
+            table.update((key, 0) for key in _walk(ctx.p, _packed_basis(ctx, [(1,)])))
             continue
-        ni, nj = COORD_NAMES[i], COORD_NAMES[j]
-        if i < 4:
-            fixed_pairs.append((slot_name.index(nj), a[i][0], a[i][1]))
-        else:
-            var_pairs.append((slot_name.index(ni), slot_name.index(nj)))
+        for bit, pi in enumerate(points):
+            k = len(pi) - 1
+            if k > d:
+                break
+            shifts = [(0,) * j + pi + (0,) * (d - k - j) for j in range(d - k + 1)]
+            for key in _walk(ctx.p, _packed_basis(ctx, shifts)):
+                table[key] = table.get(key, 0) | 1 << bit
+    return tables, {pi: bit for bit, pi in enumerate(points)}
+
+
+def _root_mask(ctx: FieldCtx, f: BinaryForm, bits) -> int:
+    """Root mask of an outer form, over the points that have a bit."""
+    mask = 0 if f.coeffs[-1] else 1
+    for pi in factor_poly(ctx, f.dehom()):
+        if pi in bits:
+            mask |= 1 << bits[pi]
+    return mask
+
+
+def _count_inner(ctx: FieldCtx, afixed, degs6, vectors, masks=None):
+    """Accepted kernel vectors for the fixed quadruple, and the q^dim walked.
+
+    masks is _root_masks(ctx, degs6), built here when None.  A vector is
+    accepted when its six slots are nonzero, share no point with their two
+    outer forms, and share none with the slots of the other two groups.
+    """
+    tables, bits = _root_masks(ctx, degs6) if masks is None else masks
+    outer = [_root_mask(ctx, f, bits) for f in afixed]
+    slots = []  # (shift, key mask, table, outer mask) per slot
+    shift = 0
+    for d, (i, j) in zip(degs6, _FIXED_PARTNERS):
+        width = _lane_width(ctx.p) * ctx.e * (d + 1)
+        slots.append((shift, (1 << width) - 1, tables[d], outer[i] | outer[j]))
+        shift += width
+    flat = [tuple(c for coord in vec for c in coord) for vec in vectors]
+    (_, m0, t0, f0), (s1, m1, t1, f1), (s2, m2, t2, f2) = slots[:3]
+    (s3, m3, t3, f3), (s4, m4, t4, f4), (s5, m5, t5, f5) = slots[3:]
     accepted = 0
-    x = [0] * 6
-    f2_mod = _f2_mod
-    for step in range(1, 1 << dim):
-        flip = (step & -step).bit_length() - 1
-        dx = deltas[flip]
-        x0 = x[0] = x[0] ^ dx[0]
-        x1 = x[1] = x[1] ^ dx[1]
-        x2 = x[2] = x[2] ^ dx[2]
-        x3 = x[3] = x[3] ^ dx[3]
-        x4 = x[4] = x[4] ^ dx[4]
-        x5 = x[5] = x[5] ^ dx[5]
-        if not (x0 and x1 and x2 and x3 and x4 and x5):
+    for x in _walk(ctx.p, _packed_basis(ctx, flat)):
+        k0, k1, k2 = x & m0, x >> s1 & m1, x >> s2 & m2
+        k3, k4, k5 = x >> s3 & m3, x >> s4 & m4, x >> s5 & m5
+        if not (k0 and k1 and k2 and k3 and k4 and k5):
             continue
-        ok = True
-        for slot, af, ad in fixed_pairs:
-            g = x[slot]
-            if af.bit_length() <= ad and g.bit_length() <= slot_deg[slot]:
-                ok = False
-                break
-            u, v = af, g
-            while v:
-                u, v = v, f2_mod(u, v)
-            if u != 1:
-                ok = False
-                break
-        if not ok:
+        r0, r1, r2, r3, r4, r5 = t0[k0], t1[k1], t2[k2], t3[k3], t4[k4], t5[k5]
+        if r0 & f0 or r1 & f1 or r2 & f2 or r3 & f3 or r4 & f4 or r5 & f5:
             continue
-        for si, sj in var_pairs:
-            u, v = x[si], x[sj]
-            if u.bit_length() <= slot_deg[si] and v.bit_length() <= slot_deg[sj]:
-                ok = False
-                break
-            while v:
-                u, v = v, f2_mod(u, v)
-            if u != 1:
-                ok = False
-                break
-        if ok:
-            accepted += 1
-    return accepted, 1 << dim
-
-
-def _count_inner_generic(ctx, afixed, degs6, vectors):
-    """Accepted kernel vectors for any q; plain odometer enumeration."""
-    from itertools import product
-
-    q = ctx.q
-    a = [(f, f.dehom(), pdeg(f.dehom()) < f.d) for f in afixed]
-    dim = len(vectors)
-    scaled = []
-    for vec in vectors:
-        per_digit = []
-        for digit in range(q):
-            per_digit.append(
-                tuple(tuple(ctx.mul(digit, c) for c in coord) for coord in vec)
-            )
-        scaled.append(per_digit)
-    slot_deg = degs6
-    slot_name = ("L13", "L24", "L34", "L14", "L23", "L12")
-    fixed_pairs = []
-    var_pairs = []
-    for i, j in DISJOINT_PAIRS:
-        if j < 4:
+        # the cross pairs of _SLOT_GROUPS
+        g, h, k = r0 | r1, r2 | r5, r3 | r4
+        if g & h or g & k or h & k:
             continue
-        ni, nj = COORD_NAMES[i], COORD_NAMES[j]
-        if i < 4:
-            fixed_pairs.append((slot_name.index(nj), a[i]))
-        else:
-            var_pairs.append((slot_name.index(ni), slot_name.index(nj)))
-    accepted = 0
-    zeros = [tuple([0] * (d + 1)) for d in slot_deg]
-    for digits in product(range(q), repeat=dim):
-        if not any(digits):
-            continue
-        coords = list(zeros)
-        for i, digit in enumerate(digits):
-            if digit:
-                sv = scaled[i][digit]
-                for s in range(6):
-                    coords[s] = tuple(
-                        ctx.add(u, v) for u, v in zip(coords[s], sv[s])
-                    )
-        trip = []
-        ok = True
-        for s in range(6):
-            dh = pstrip(coords[s])
-            if not dh:
-                ok = False
-                break
-            trip.append((coords[s], dh, pdeg(dh) < slot_deg[s]))
-        if not ok:
-            continue
-        for slot, ai in fixed_pairs:
-            t = trip[slot]
-            if ai[2] and t[2]:
-                ok = False
-                break
-            if pdeg(pgcd(ctx, ai[1], t[1])) != 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        for si, sj in var_pairs:
-            ti, tj = trip[si], trip[sj]
-            if ti[2] and tj[2]:
-                ok = False
-                break
-            if pdeg(pgcd(ctx, ti[1], tj[1])) != 0:
-                ok = False
-                break
-        if ok:
-            accepted += 1
-    return accepted, q**dim
+        accepted += 1
+    return accepted, ctx.q ** len(vectors)
 
 
 def _orbit_reps(q: int, pairings):
@@ -497,12 +498,7 @@ def _orbit_reps(q: int, pairings):
     # with all four degrees zero there is a single quadruple
     group = _pgl2(ctx) if max(degs) else [(1, 0, 0, 1)]
     images = {d: _orbit_images(ctx, forms, group) for d, forms in lists.items()}
-
-    def triple(f):
-        dh = f.dehom()
-        return (f, dh, pdeg(dh) < f.d)
-
-    triples = {d: [triple(f) for f in forms] for d, forms in lists.items()}
+    triples = {d: [_triple(f) for f in forms] for d, forms in lists.items()}
     tables = {}
 
     def coprime(da, db):
@@ -585,10 +581,9 @@ def _fast_worker(args):
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
-    dpp = (dd["L13"], dd["L24"], dd["L34"])
-    degs6 = (dd["L13"], dd["L24"], dd["L34"], dd["L14"], dd["L23"], dd["L12"])
-    derived = (dd["L14"], dd["L23"], dd["L12"])
-    inner = _count_inner_f2 if q == 2 else None
+    degs6 = tuple(dd[name] for name in _SLOTS)
+    dpp, derived = degs6[:3], degs6[3:]
+    masks = _root_masks(ctx, degs6)
     total = 0
     work = 0
     quadruples = 0
@@ -598,10 +593,7 @@ def _fast_worker(args):
         dim, vectors = _kernel_coords(afixed, dpp, derived)
         if work + q**dim > budget:
             raise BudgetExceeded(f"kernel enumeration exceeded budget {budget}")
-        if inner is not None:
-            acc, vecs = inner(afixed, degs6, vectors)
-        else:
-            acc, vecs = _count_inner_generic(ctx, afixed, degs6, vectors)
+        acc, vecs = _count_inner(ctx, afixed, degs6, vectors, masks)
         total += acc * size
         work += vecs
         quadruples += size
@@ -627,7 +619,7 @@ def count_fast(
     prime_power(q)
     dd0 = degree_data(alpha)
     _, _, dd = chamber_normalize(alpha)
-    pairings = _pairings_tuple(dd)
+    pairings = dd.as_tuple()
     budget = _budget(budget)
     degs = [dd[name] for name in ("E1", "E2", "E3", "E4")]
     # the tuples the walk of _orbit_reps visits: a multiset of k forms for
@@ -643,6 +635,9 @@ def count_fast(
         )
         if tables > budget:
             raise BudgetExceeded(f"orbit tables need {tables} > budget {budget}")
+    roots = sum(q ** (d + 1) for d in {dd[name] for name in _SLOTS})
+    if roots > budget:
+        raise BudgetExceeded(f"root-mask tables need {roots} > budget {budget}")
 
     reps = _orbit_reps(q, pairings)
     shards = max(1, min(workers, len(reps)))
@@ -662,7 +657,7 @@ def count_fast(
     return CountResult(
         q,
         alpha,
-        _pairings_tuple(dd0),
+        dd0.as_tuple(),
         dd0.d,
         m,
         m // (q - 1) ** 5,

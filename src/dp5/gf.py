@@ -301,9 +301,6 @@ class FieldCtx:
     def elements(self):
         return range(self.q)
 
-    def units(self):
-        return range(1, self.q)
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e})"
 

@@ -139,3 +139,34 @@ def test_hn_statistics_is_deterministic():
         h1 = sum(max(0, -e - 1) for e in es)
         if h1 > 0:
             assert es[2] <= -2
+
+
+def test_guards_survive_python_O():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "from dp5 import bundles\n"
+        "from dp5.errors import DP5Error\n"
+        "from dp5.gf import field_of_order\n"
+        "from dp5.p1 import BinaryForm\n"
+        "ctx = field_of_order(3)\n"
+        "# two terms of one condition whose degrees disagree\n"
+        "bad = bundles._Condition((1,), 0, ((0, (1,), 0, 1), (1, (1,), 1, 1)))\n"
+        "one = BinaryForm(ctx, 0, (1,))\n"
+        "calls = [(lambda: bundles._twist_rows(ctx, [bad], (0, 0, 0), 0), DP5Error),\n"
+        "         (lambda: bundles.build_bundle((one,) * 3, (0, 0, 0)), ValueError)]\n"
+        "for call, exc in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except exc:\n"
+        "        continue\n"
+        "    raise SystemExit('guard vanished')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (flags, out.stderr)

@@ -218,3 +218,30 @@ def test_guards_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_input_checks_are_invalid_input_also_under_python_O():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "from dp5.cli import main\n"
+        "from dp5.constants import (leading_constant_direct,\n"
+        "                           leading_constant_zeta, projective_line)\n"
+        "codes = [main(['constant', '--q', '5', '--prec', '0', '--method', m])\n"
+        "         for m in ('direct', 'zeta')]\n"
+        "if codes != [2, 2]:\n"
+        "    raise SystemExit(f'--prec 0 exits {codes}')\n"
+        "for constant in (leading_constant_direct, leading_constant_zeta):\n"
+        "    try:\n"
+        "        constant(5, curve=projective_line(7))\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('a curve over F_7 was accepted at q = 5')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (flags, out.stderr)

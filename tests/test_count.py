@@ -255,8 +255,7 @@ def _unreduced_m_count(q, alpha):
 
     from dp5.count import (
         _coprime_triples,
-        _count_inner_f2,
-        _count_inner_generic,
+        _count_inner,
         _kernel_coords,
         _monic_forms,
     )
@@ -275,10 +274,7 @@ def _unreduced_m_count(q, alpha):
         if not all(_coprime_triples(ctx, a, b) for a, b in combinations(trip, 2)):
             continue
         _, vectors = _kernel_coords(afixed, dpp, derived)
-        if q == 2:
-            acc, _ = _count_inner_f2(afixed, dpp + derived, vectors)
-        else:
-            acc, _ = _count_inner_generic(ctx, afixed, dpp + derived, vectors)
+        acc, _ = _count_inner(ctx, afixed, dpp + derived, vectors)
         total += acc
     return total * (q - 1) ** 4
 
@@ -324,3 +320,87 @@ def test_summed_budget_refuses_shards_that_each_fit():
         with pytest.raises(BudgetExceeded):
             count_fast(q, alpha, workers=workers, budget=3071)
         assert count_fast(q, alpha, workers=workers, budget=3072).work == 3072
+
+
+def test_fields_beyond_the_golden_file():
+    # q = 9 is the one reachable field with odd p and e > 1, so its kernels
+    # are walked with two-digit lanes
+    cases = [
+        (7, ANTICANONICAL, 181440),
+        (8, _cls("2,-2,0,0,0"), 193536),
+        (9, ANTICANONICAL, 1542240),
+    ]
+    for q, alpha, hom in cases:
+        assert count_fast(q, alpha).hom == hom, (q, alpha)
+
+
+def test_packed_walk_visits_every_combination_once():
+    from itertools import product
+
+    from dp5.count import _packed_basis, _walk
+    from dp5.gf import field_of_order
+
+    for q in (2, 3, 4, 5, 8, 9):
+        ctx = field_of_order(q)
+        u, v = (1, 0, q - 1), (0, q - 1, 2 % q)
+        basis = _packed_basis(ctx, [u, v])
+        assert len(basis) == 2 * ctx.e
+        walked = list(_walk(ctx.p, basis))
+        assert len(walked) == len(set(walked)) == q * q - 1
+        span = {
+            tuple(ctx.add(ctx.mul(a, x), ctx.mul(b, y)) for x, y in zip(u, v))
+            for a, b in product(range(q), repeat=2)
+            if a or b
+        }
+        assert set(walked) == set(_packed_basis(ctx, span)[:: ctx.e]), q
+
+
+def test_root_masks_read_off_coprimality():
+    from itertools import combinations
+
+    from dp5.count import _packed_basis, _root_mask, _root_masks
+    from dp5.gf import field_of_order
+    from dp5.p1 import form_from_index, forms_coprime
+
+    for q, degs in ((2, (0, 1, 3)), (3, (0, 1, 2)), (4, (1, 2)), (9, (0, 1))):
+        ctx = field_of_order(q)
+        tables, bits = _root_masks(ctx, degs)
+        forms = [form_from_index(ctx, d, i)
+                 for d in degs for i in range(1, q ** (d + 1))]
+        assert sum(map(len, tables.values())) == len(forms)
+        masks = [tables[f.d][_packed_basis(ctx, [f.coeffs])[0]] for f in forms]
+        for f, m in zip(forms, masks):
+            assert m == _root_mask(ctx, f, bits), f
+        for (f, mf), (g, mg) in combinations(zip(forms, masks), 2):
+            assert (mf & mg == 0) == forms_coprime(f, g), (f, g)
+
+
+def test_slot_groups_are_the_disjoint_slot_pairs():
+    from itertools import combinations
+
+    from dp5.count import _FIXED_PARTNERS, _SLOT_GROUPS, _SLOTS, COORD_NAMES
+
+    slot = {COORD_NAMES.index(name): s for s, name in enumerate(_SLOTS)}
+    var = {frozenset((slot[i], slot[j])) for i, j in DISJOINT_PAIRS if i >= 4}
+    cross = {
+        frozenset((a, b))
+        for g, h in combinations(_SLOT_GROUPS, 2)
+        for a in g
+        for b in h
+    }
+    assert var == cross and len(var) == 12
+    fixed = {(i, slot[j]) for i, j in DISJOINT_PAIRS if i < 4 <= j}
+    assert fixed == {(i, s) for s, pair in enumerate(_FIXED_PARTNERS) for i in pair}
+    assert len(fixed) == 12
+
+
+def test_root_mask_tables_are_budgeted_before_they_are_built(monkeypatch):
+    from dp5 import count
+
+    def refuse(*args):
+        raise AssertionError("root-mask tables were built")
+
+    monkeypatch.setattr(count, "_root_masks", refuse)
+    # one quadruple and no group, but a degree-0 slot table has q entries
+    with pytest.raises(BudgetExceeded, match="root-mask tables need 1024"):
+        count_fast(1024, CurveClass(0, 0, 0, 0, 0), budget=1023)
