@@ -195,9 +195,8 @@ def _plucker_conditions(a1, a2, a3, a4, f13=None, f24=None, f34=None,
 def plucker_kernel(aprime, dpp):
     """Kernel data of the two divisibility conditions alone (all divisors 0).
 
-    Fast path for the counting loop: skips bundle validation, assumes the
-    caller already knows aprime is nonzero and pairwise coprime.  Returns
-    (sizes, offsets, basis vectors).
+    Skips bundle validation: the caller already knows aprime is nonzero and
+    pairwise coprime.  Returns (sizes, offsets, basis vectors).
     """
     a1, a2, a3, a4 = aprime
     ctx = a1.ctx

@@ -63,8 +63,8 @@ def _parse_pairings(text: str) -> CurveClass:
     return pairings_to_class(dd)
 
 
-def _record(command: str, params: dict, payload: dict, t0: float) -> dict:
-    return {
+def _write_record(path: str, command: str, params: dict, payload: dict, t0: float):
+    rec = {
         "command": command,
         "params": params,
         "version": __version__,
@@ -72,9 +72,6 @@ def _record(command: str, params: dict, payload: dict, t0: float) -> dict:
         "wall_time": time.time() - t0,
         "payload": payload,
     }
-
-
-def _write_record(path: str, rec: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(rec, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -123,21 +120,9 @@ def cmd_count(args) -> int:
         w.writeheader()
         w.writerow(row)
     if args.out:
-        _write_record(
-            args.out,
-            _record(
-                "count",
-                {
-                    "q": args.q,
-                    "class": list(alpha),
-                    "method": args.method,
-                    "workers": args.workers,
-                    "budget": args.budget,
-                },
-                payload,
-                t0,
-            ),
-        )
+        params = {"q": args.q, "class": list(alpha), "method": args.method,
+                  "workers": args.workers, "budget": args.budget}
+        _write_record(args.out, "count", params, payload, t0)
     return 0
 
 
@@ -175,15 +160,9 @@ def cmd_constant(args) -> int:
         for name, c in out.items()
     }
     if args.out:
-        _write_record(
-            args.out,
-            _record(
-                "constant",
-                {"q": args.q, "curve": args.curve, "prec": args.prec, "method": args.method},
-                payload,
-                t0,
-            ),
-        )
+        params = {"q": args.q, "curve": args.curve, "prec": args.prec,
+                  "method": args.method}
+        _write_record(args.out, "constant", params, payload, t0)
     if args.method == "both":
         gap = abs(out["direct"].mid - out["zeta"].mid)
         allowed = out["direct"].rad + out["zeta"].rad
@@ -211,8 +190,8 @@ def cmd_motivic(args) -> int:
         payload["specialize_q"] = q
         payload["value"] = str(val)
     if args.out:
-        _write_record(args.out, _record("motivic", {"trunc": args.trunc,
-                      "specialize": args.specialize}, payload, t0))
+        params = {"trunc": args.trunc, "specialize": args.specialize}
+        _write_record(args.out, "motivic", params, payload, t0)
     return 0
 
 
@@ -335,16 +314,9 @@ def cmd_sweep(args) -> int:
     else:
         sys.stdout.write(body)
     if args.record:
-        _write_record(
-            args.record,
-            _record(
-                "sweep",
-                {"q": args.q, "classes": [",".join(map(str, c)) for c in classes],
-                 "workers": args.workers, "budget": args.budget},
-                {"rows": rows},
-                t0,
-            ),
-        )
+        params = {"q": args.q, "classes": [",".join(map(str, c)) for c in classes],
+                  "workers": args.workers, "budget": args.budget}
+        _write_record(args.record, "sweep", params, {"rows": rows}, t0)
     return 0
 
 

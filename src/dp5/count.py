@@ -15,32 +15,25 @@ disjoint pairs of lines.  The five-torus acts freely on solutions, so the
 raw solution count m is divisible by (q-1)^5 and hom = m/(q-1)^5.
 
 count_naive enumerates all ten forms with incremental pruning; it is the
-oracle.  count_fast fixes the quadruple a' = (a1..a4), solves the two
-divisibility conditions
+oracle.  count_fast fixes the quadruple a' = (a1..a4) and solves P2, P3
+and P4 as one linear system in the coefficients of the six varying forms
+(a13, a24, a34, a14, a23, a12).  P1 and P5 then hold, because a1*P1 and
+a1*P5 lie in the ideal of P2, P3, P4 and a1 is nonzero.  Since scaling a'
+by (F_q^*)^4 permutes solutions, only first-nonzero-coefficient-one
+representatives of a' are enumerated and the outer factor (q-1)^4 is
+restored at the end.
 
-    a1 | a3*a34 - a2*a24        a2 | a4*a34 + a1*a13
-
-as linear algebra on the coefficients of (a13, a24, a34), and recovers the
-remaining coordinates by exact division:
-
-    a14 = (a2*a24 - a3*a34)/a1
-    a23 = (a4*a34 + a1*a13)/a2
-    a12 = (a3*a23 - a4*a24)/a1
-
-P1 and P5 then hold identically.  Since scaling a' by (F_q^*)^4 permutes
-solutions, only first-nonzero-coefficient-one representatives of a' are
-enumerated and the outer factor (q-1)^4 is restored at the end.
-
-The kernel, an F_q-space of dimension dim, is walked as an F_p-space of
-dimension e*dim (q = p^e).  The six varying forms (a13, a24, a34, a14, a23,
-a12) are packed into one int, one lane per base-p digit of each coefficient,
-and a p-ary Gray code reaches every vector once, adding one basis vector per
-step: an XOR at p = 2, a lane-wise add mod p otherwise.  Coprimality is read
-off root masks built once per count for each slot degree: bit 0 is the point
-at infinity, then one bit per monic irreducible, so two forms share a point
-exactly when their masks meet.  A vector is accepted when its six forms are
-nonzero and their masks miss those of the disjoint outer forms and of the
-disjoint varying forms.
+The kernel, an F_q-space of dimension dim, is solved and walked as an
+F_p-space of dimension e*dim (q = p^e).  The six varying forms are packed
+into one int, one lane per base-p digit of each coefficient; the system is
+eliminated on these packed ints, and a p-ary Gray code reaches every kernel
+vector once, adding one basis vector per step: an XOR at p = 2, a lane-wise
+add mod p otherwise.  Coprimality is read off root masks built once per
+count for each slot degree: bit 0 is the point at infinity, then one bit
+per monic irreducible, so two forms share a point exactly when their masks
+meet.  A vector is accepted when its six forms are nonzero and their masks
+miss those of the disjoint varying forms; coprimality with the outer forms
+follows (see _count_inner).
 
 The kernel count is constant on the orbits of G = PGL2(F_q) x Stab acting on
 normalised coprime quadruples:
@@ -70,20 +63,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
-from .errors import BudgetExceeded, DP5Error, NonExactDivision, NotInEffDual
+from .errors import BudgetExceeded, DP5Error, NotInEffDual
 from .gf import FieldCtx, field_of_order, prime_power
-from .p1 import (
-    BinaryForm,
-    factor_poly,
-    form_from_index,
-    irreducibles,
-    padd,
-    pdeg,
-    pgcd,
-    pmul,
-    pstrip,
-    psub,
-)
+from .p1 import BinaryForm, form_from_index, irreducibles, pdeg, pgcd, pmul
 from .picard import (
     LINES,
     CurveClass,
@@ -240,16 +222,11 @@ def count_naive(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Coun
 def _monic_forms(ctx: FieldCtx, d: int):
     """Representatives with first nonzero coefficient 1, low index first."""
     q = ctx.q
-    out = []
-    for lead in range(d + 1):
-        for idx in range(q ** (d - lead)):
-            coeffs = [0] * lead + [1]
-            rest = idx
-            for _ in range(d - lead):
-                coeffs.append(rest % q)
-                rest //= q
-            out.append(BinaryForm(ctx, d, tuple(coeffs)))
-    return out
+    return [
+        form_from_index(ctx, d, q**lead * (1 + q * idx))
+        for lead in range(d + 1)
+        for idx in range(q ** (d - lead))
+    ]
 
 
 def _pgl2(ctx: FieldCtx):
@@ -296,64 +273,20 @@ def _check_torus(m: int, q: int):
         raise DP5Error(f"torus action is not free: (q-1)^5 does not divide {m}")
 
 
-def _form_divexact(ctx, num, den, dout: int):
-    """num/den as a form coefficient tuple of degree dout (tuples, any q)."""
-    from .p1 import pdivmod
-
-    pn = pstrip(num)
-    if not pn:
-        return (0,) * (dout + 1)
-    qt, rm = pdivmod(ctx, pn, pstrip(den))
-    if rm or len(qt) > dout + 1:
-        raise NonExactDivision("division of forms left a remainder")
-    return tuple(qt) + (0,) * (dout + 1 - len(qt))
-
-
-def _kernel_coords(aprime, dpp, derived_degs):
-    """Per-basis-vector coordinate six-tuples for the fixed quadruple.
-
-    Returns (dim, vectors) where vectors[i] is a six-tuple of coefficient
-    tuples (a13, a24, a34, a14, a23, a12) for basis vector i.
-    """
-    from .bundles import plucker_kernel
-
-    a1, a2, a3, a4 = aprime
-    ctx = a1.ctx
-    d14, d23, d12 = derived_degs
-    sizes, offs, basis = plucker_kernel(aprime, dpp)
-    vectors = []
-    for b in basis:
-        f13 = tuple(b[offs[0] : offs[0] + sizes[0]])
-        f24 = tuple(b[offs[1] : offs[1] + sizes[1]])
-        f34 = tuple(b[offs[2] : offs[2] + sizes[2]])
-        x14 = psub(
-            ctx,
-            pmul(ctx, a2.coeffs, f24),
-            pmul(ctx, a3.coeffs, f34),
-        )
-        f14 = _form_divexact(ctx, x14, a1.coeffs, d14)
-        x23 = padd(ctx, pmul(ctx, a4.coeffs, f34), pmul(ctx, a1.coeffs, f13))
-        f23 = _form_divexact(ctx, x23, a2.coeffs, d23)
-        x12 = psub(
-            ctx,
-            pmul(ctx, a3.coeffs, f23),
-            pmul(ctx, a4.coeffs, f24),
-        )
-        f12 = _form_divexact(ctx, x12, a1.coeffs, d12)
-        vectors.append((f13, f24, f34, f14, f23, f12))
-    return len(basis), vectors
-
-
-# the six varying slots in kernel-vector order, each with the two outer
-# forms a_i whose lines are disjoint from it
+# the six varying slots, in the order of the packed kernel vectors
 _SLOTS = ("L13", "L24", "L34", "L14", "L23", "L12")
-_FIXED_PARTNERS = tuple(
-    tuple(i for i, j in DISJOINT_PAIRS if i < 4 and COORD_NAMES[j] == name)
-    for name in _SLOTS
-)
 # complementary lines (L13, L24 and so on) meet and every other pair of slots
 # is disjoint, so the twelve slot pairs are the cross pairs of these groups
 _SLOT_GROUPS = ((0, 1), (2, 5), (3, 4))
+# the linear system of the kernel, one (slot, outer form, sign) per term:
+#   P4: a1*a14 - a2*a24 + a3*a34 = 0
+#   P3: a2*a23 - a4*a34 - a1*a13 = 0
+#   P2: a1*a12 - a3*a23 + a4*a24 = 0
+_SYSTEM = (
+    ((3, 0, 1), (1, 1, -1), (2, 2, 1)),
+    ((4, 1, 1), (2, 3, -1), (0, 0, -1)),
+    ((5, 0, 1), (4, 2, -1), (1, 3, 1)),
+)
 
 
 def _lane_width(p: int) -> int:
@@ -379,6 +312,70 @@ def _packed_basis(ctx: FieldCtx, vectors):
                     shift += w
             basis.append(x)
     return basis
+
+
+def _kernel_coords(afixed, dpp, derived):
+    """(dim, basis): the solutions of _SYSTEM for the fixed quadruple.
+
+    The unknowns are the base-p digits of the coefficients of the six
+    varying forms, one lane each as _walk reads them, so basis is an
+    F_p-basis of e*dim packed ints for an F_q-kernel of dimension dim.
+    Each unknown is a row: its own lane, and above all those the equation
+    lanes it feeds.  A row is reduced by the pivot row at its highest
+    equation lane until it is a pivot itself or its equation lanes vanish;
+    then it is a kernel vector whose highest lane is its own, so these are
+    independent.  At p = 2 a row operation is one XOR, at odd p a lane-wise
+    add mod p of a scaled pivot row.
+    """
+    ctx = afixed[0].ctx
+    p, e, w = ctx.p, ctx.e, _lane_width(ctx.p)
+    degs6 = tuple(dpp) + tuple(derived)
+    # feeds[s][k]: the equation lanes fed by X^k in the constant coefficient
+    # of slot s; the unknowns' lanes lie below bit top
+    feeds = [[0] * e for _ in degs6]
+    lanes = e * (sum(degs6) + 6)
+    top = w * lanes
+    for terms in _SYSTEM:
+        for s, i, sign in terms:
+            coeffs = afixed[i].coeffs
+            if sign < 0:
+                coeffs = [ctx.neg(c) for c in coeffs]
+            for k, x in enumerate(_packed_basis(ctx, [coeffs])):
+                feeds[s][k] |= x << w * lanes
+        s, i, _ = terms[0]
+        lanes += e * (afixed[i].d + degs6[s] + 1)
+    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
+    K, H, digit = ones * ((1 << (w - 1)) - p), ones << (w - 1), (1 << w) - 1
+
+    def add(x, y):  # lane-wise mod p, as in _walk
+        s = x + y
+        return s - p * (((s + K) & H) >> (w - 1))
+
+    def scale(x, c):  # c*x lane-wise for 0 < c < p, by doubling
+        y = x
+        for bit in bin(c)[3:]:
+            y = add(y, y)
+            if bit == "1":
+                y = add(y, x)
+        return y
+
+    pivots, basis = {}, []
+    own = 1  # the lane of the current unknown, as a bit
+    for fed, d in zip(feeds, degs6):
+        for j in range(d + 1):
+            for f in fed:
+                r, own = f << w * e * j | own, own << w
+                while r >> top:
+                    b = (r.bit_length() - 1) // w
+                    c = r >> w * b & digit
+                    piv = pivots.get(b)
+                    if piv is None:
+                        pivots[b] = r if c == 1 else scale(r, pow(c, -1, p))
+                        break
+                    r = r ^ piv if p == 2 else add(r, scale(piv, p - c))
+                else:
+                    basis.append(r)
+    return len(basis) // e, basis
 
 
 def _walk(p: int, basis):
@@ -411,13 +408,13 @@ def _walk(p: int, basis):
 
 
 def _root_masks(ctx: FieldCtx, degrees):
-    """(tables, bits) for the slot degrees of one count.
+    """Root-mask tables for the slot degrees of one count.
 
     tables[d] maps each packed nonzero form of degree d to its root mask:
     bit 0 is the point at infinity, the form t, then one bit per monic
     irreducible in p1.irreducibles order, so the numbering is shared across
-    degrees.  bits maps each point's coefficient tuple to its bit.  A table
-    is built by walking the multiples pi*g of each point pi of degree <= d.
+    degrees.  A table is built by walking the multiples pi*g of each point
+    pi of degree <= d.
     """
     points = [(1, 0)] + irreducibles(ctx, max(degrees))
     tables = {}
@@ -433,51 +430,44 @@ def _root_masks(ctx: FieldCtx, degrees):
             shifts = [(0,) * j + pi + (0,) * (d - k - j) for j in range(d - k + 1)]
             for key in _walk(ctx.p, _packed_basis(ctx, shifts)):
                 table[key] = table.get(key, 0) | 1 << bit
-    return tables, {pi: bit for bit, pi in enumerate(points)}
-
-
-def _root_mask(ctx: FieldCtx, f: BinaryForm, bits) -> int:
-    """Root mask of an outer form, over the points that have a bit."""
-    mask = 0 if f.coeffs[-1] else 1
-    for pi in factor_poly(ctx, f.dehom()):
-        if pi in bits:
-            mask |= 1 << bits[pi]
-    return mask
+    return tables
 
 
 def _count_inner(ctx: FieldCtx, afixed, degs6, vectors, masks=None):
     """Accepted kernel vectors for the fixed quadruple, and the q^dim walked.
 
-    masks is _root_masks(ctx, degs6), built here when None.  A vector is
-    accepted when its six slots are nonzero, share no point with their two
-    outer forms, and share none with the slots of the other two groups.
+    vectors is the packed F_p-basis of _kernel_coords; masks is
+    _root_masks(ctx, degs6), built here when None.  A vector is accepted
+    when its six slots are nonzero and share no point with the slots of
+    the other two groups.
+
+    The outer forms afixed need no test: let a point divide a_i and a_jk,
+    i not in {j, k}, and let s be the fourth index.  Relation P_j is
+    +-a_i*a_ij +- a_k*a_jk +- a_s*a_js = 0, so the point divides a_s*a_js;
+    a_s is coprime to a_i, so it divides a_js, and L_jk, L_js are disjoint
+    slots, which the walk rejects.
     """
-    tables, bits = _root_masks(ctx, degs6) if masks is None else masks
-    outer = [_root_mask(ctx, f, bits) for f in afixed]
-    slots = []  # (shift, key mask, table, outer mask) per slot
+    tables = _root_masks(ctx, degs6) if masks is None else masks
+    slots = []  # (shift, key mask, table) per slot
     shift = 0
-    for d, (i, j) in zip(degs6, _FIXED_PARTNERS):
+    for d in degs6:
         width = _lane_width(ctx.p) * ctx.e * (d + 1)
-        slots.append((shift, (1 << width) - 1, tables[d], outer[i] | outer[j]))
+        slots.append((shift, (1 << width) - 1, tables[d]))
         shift += width
-    flat = [tuple(c for coord in vec for c in coord) for vec in vectors]
-    (_, m0, t0, f0), (s1, m1, t1, f1), (s2, m2, t2, f2) = slots[:3]
-    (s3, m3, t3, f3), (s4, m4, t4, f4), (s5, m5, t5, f5) = slots[3:]
+    (_, m0, t0), (s1, m1, t1), (s2, m2, t2) = slots[:3]
+    (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = slots[3:]
     accepted = 0
-    for x in _walk(ctx.p, _packed_basis(ctx, flat)):
+    for x in _walk(ctx.p, vectors):
         k0, k1, k2 = x & m0, x >> s1 & m1, x >> s2 & m2
         k3, k4, k5 = x >> s3 & m3, x >> s4 & m4, x >> s5 & m5
         if not (k0 and k1 and k2 and k3 and k4 and k5):
             continue
-        r0, r1, r2, r3, r4, r5 = t0[k0], t1[k1], t2[k2], t3[k3], t4[k4], t5[k5]
-        if r0 & f0 or r1 & f1 or r2 & f2 or r3 & f3 or r4 & f4 or r5 & f5:
-            continue
         # the cross pairs of _SLOT_GROUPS
-        g, h, k = r0 | r1, r2 | r5, r3 | r4
+        g, h, k = t0[k0] | t1[k1], t2[k2] | t5[k5], t3[k3] | t4[k4]
         if g & h or g & k or h & k:
             continue
         accepted += 1
-    return accepted, ctx.q ** len(vectors)
+    return accepted, ctx.p ** len(vectors)
 
 
 def _orbit_reps(q: int, pairings):

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Every failure mode that callers are expected to handle gets its own class.
-Internal consistency checks that must survive `python -O` raise DP5Error
-itself; the rest use plain AssertionError.
+Internal consistency checks raise DP5Error itself and bad arguments raise
+ValueError; no check is a bare assert, so all of them survive `python -O`.
 """
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DivisionByZero, NotPrime, TooLarge
+from .errors import DivisionByZero, DP5Error, NotPrime, TooLarge
 
 _Q_CAP = 1 << 16
 
@@ -229,7 +229,8 @@ class FieldCtx:
             ):
                 g = cand
                 break
-        assert g is not None
+        if g is None:
+            raise DP5Error(f"no generator of the unit group of F_{q}")
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
             exp[i] = self._raw_mul(exp[i - 1], g)

@@ -154,7 +154,8 @@ class SeriesL:
 
     def substitute(self, k: int):
         """u -> u^k."""
-        assert k >= 1
+        if k < 1:
+            raise ValueError(f"substitution u -> u^{k} needs k >= 1")
         out = [0] * self.trunc
         for i, c in enumerate(self.coeffs):
             if c and i * k < self.trunc:
@@ -176,7 +177,8 @@ class SeriesL:
         return SeriesL(self.trunc - j, self.coeffs[j:])
 
     def truncate(self, n: int):
-        assert n <= self.trunc
+        if n > self.trunc:
+            raise ValueError(f"cannot truncate O(u^{self.trunc}) to O(u^{n})")
         return SeriesL(n, self.coeffs[:n])
 
     def at(self, x) -> Fraction:
@@ -236,7 +238,8 @@ def mobius_motivic_p1():
 
 def divisor_class_p1(d: int):
     """[Div^d] of P^1 as an L-polynomial: 1 + L + ... + L^d."""
-    assert d >= 0
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
     return (1,) * (d + 1)
 
 
@@ -248,7 +251,8 @@ def witt_exponents(fcoeffs, K: int):
     p_m + f_1 p_{m-1} + ... + f_{m-1} p_1 + m f_m = 0, and matching log
     coefficients gives sum_{k|m} k e_k = p_m, inverted by Moebius.
     """
-    assert fcoeffs[0] == 1
+    if fcoeffs[0] != 1:
+        raise ValueError("F must have constant term 1")
     f = list(fcoeffs)
     nz = [(j, fj) for j, fj in enumerate(f) if j and fj]
     p = [0] * (K + 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NegativePointCount, ZeroForm
+from .errors import BudgetExceeded, DP5Error, NegativePointCount, ZeroForm
 from .gf import FieldCtx, mobius_inversion
 
 INF = None  # the point at infinity; every other point is a monic poly tuple
@@ -267,14 +267,18 @@ class BinaryForm:
             raise ZeroForm("zero form")
         return self.d - pdeg(self.dehom())
 
+    def _check(self, other, same_degree: bool):
+        if self.ctx != other.ctx or (same_degree and self.d != other.d):
+            raise ValueError(f"{self!r} and {other!r} do not combine")
+
     def __mul__(self, other):
-        assert self.ctx == other.ctx
+        self._check(other, False)
         prod = pmul(self.ctx, self.coeffs, other.coeffs)
         d = self.d + other.d
         return BinaryForm(self.ctx, d, prod + (0,) * (d + 1 - len(prod)))
 
     def __add__(self, other):
-        assert self.ctx == other.ctx and self.d == other.d
+        self._check(other, True)
         return BinaryForm(
             self.ctx,
             self.d,
@@ -282,7 +286,7 @@ class BinaryForm:
         )
 
     def __sub__(self, other):
-        assert self.ctx == other.ctx and self.d == other.d
+        self._check(other, True)
         return BinaryForm(
             self.ctx,
             self.d,
@@ -318,29 +322,36 @@ _IRR_CACHE: dict = {}
 
 
 def irreducibles(ctx: FieldCtx, max_degree: int):
-    """Monic irreducibles of degree <= max_degree, by degree then lex."""
+    """Monic irreducibles of degree <= max_degree, by degree then lex.
+
+    A sieve, one degree at a time: the monic f of degree deg is number
+    sum f[i]*q^i (i < deg), and the products of the known irreducibles of
+    degree k <= deg/2 with every monic form of degree deg - k are struck out.
+    """
     cache = _IRR_CACHE.setdefault((ctx.p, ctx.e), {"max": 0, "polys": []})
     q = ctx.q
     for deg in range(cache["max"] + 1, max_degree + 1):
-        lower = [f for f in cache["polys"] if pdeg(f) <= deg // 2]
-        for idx in range(q**deg):
-            c = []
-            n = idx
-            for _ in range(deg):
-                c.append(n % q)
-                n //= q
-            f = tuple(c) + (1,)
-            if deg > 1 and f[0] == 0:
-                continue
-            if all(pmod(ctx, f, g) for g in lower):
-                cache["polys"].append(f)
+        reducible = bytearray(q**deg)
+        for g in cache["polys"]:
+            k = pdeg(g)
+            if 2 * k > deg:
+                break
+            for idx in range(q ** (deg - k), 2 * q ** (deg - k)):  # monic
+                f = pmul(ctx, g, form_from_index(ctx, deg - k, idx).coeffs)
+                reducible[sum(c * q**i for i, c in enumerate(f[:deg]))] = 1
+        cache["polys"].extend(
+            form_from_index(ctx, deg, q**deg + idx).coeffs
+            for idx in range(q**deg)
+            if not reducible[idx]
+        )
         cache["max"] = deg
     return [f for f in cache["polys"] if pdeg(f) <= max_degree]
 
 
 def factor_poly(ctx: FieldCtx, p):
     """Factor a nonzero poly into monic irreducibles; returns {poly: mult}."""
-    assert p, "cannot factor the zero polynomial"
+    if not p:
+        raise ValueError("cannot factor the zero polynomial")
     p = pmonic(ctx, p)
     out = {}
     d = pdeg(p)
@@ -391,7 +402,8 @@ def points_by_degree(q: int, n: int) -> int:
     if n == 1:
         return q + 1
     s = mobius_inversion([q**d for d in range(n + 1)])[n]
-    assert s % n == 0
+    if s % n:
+        raise DP5Error(f"{s} points of degree dividing {n} is not a multiple of {n}")
     a = s // n
     if a < 0:
         raise NegativePointCount(f"a_{n} = {a} < 0")

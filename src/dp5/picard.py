@@ -134,7 +134,8 @@ def _frames():
         for s in combinations(LINES, 4)
         if not any(meets(a, b) for a, b in combinations(s, 2))
     ]
-    assert len(indep) == 5
+    if len(indep) != 5:
+        raise DP5Error(f"{len(indep)} sets of four disjoint lines, not 5")
     frames = [f for s in indep for f in permutations(s)]
     frames.sort(key=lambda f: tuple(_LINE_IDX[n] for n in f))
     return frames
@@ -147,7 +148,10 @@ def _frame_perm(frame) -> dict:
         common = [
             m for m in LINES if meets(m, frame[i - 1]) and meets(m, frame[j - 1])
         ]
-        assert len(common) == 1
+        if len(common) != 1:
+            raise DP5Error(
+                f"{len(common)} lines meet both {frame[i - 1]} and {frame[j - 1]}"
+            )
         perm[name] = common[0]
     return perm
 

@@ -355,16 +355,106 @@ def test_packed_walk_visits_every_combination_once():
         assert set(walked) == set(_packed_basis(ctx, span)[:: ctx.e]), q
 
 
+def _unpack(ctx, x, degs6):
+    """The six coefficient tuples of a packed kernel vector."""
+    from dp5.count import _lane_width
+
+    w = _lane_width(ctx.p)
+    forms = []
+    for d in degs6:
+        coeffs = []
+        for _ in range(d + 1):
+            c = 0
+            for k in range(ctx.e):
+                c += (x >> w * k & (1 << w) - 1) * ctx.p**k
+            x >>= w * ctx.e
+            coeffs.append(c)
+        forms.append(tuple(coeffs))
+    return forms
+
+
+def test_kernel_system_matches_plucker_kernel():
+    import random
+
+    from dp5.bundles import plucker_kernel, rref
+    from dp5.count import _SLOTS, _kernel_coords, _walk
+    from dp5.gf import field_of_order
+    from dp5.p1 import form_from_index, forms_coprime, padd, pmul, psub
+    from dp5.picard import degree_data
+
+    relations = (  # P1..P5 as (sign, form, form) over COORD_NAMES
+        ((1, "E4", "L14"), (-1, "E3", "L13"), (1, "E2", "L12")),
+        ((1, "E4", "L24"), (-1, "E3", "L23"), (1, "E1", "L12")),
+        ((1, "E4", "L34"), (-1, "E2", "L23"), (1, "E1", "L13")),
+        ((1, "E3", "L34"), (-1, "E2", "L24"), (1, "E1", "L14")),
+        ((1, "L12", "L34"), (-1, "L13", "L24"), (1, "L23", "L14")),
+    )
+    classes = [ANTICANONICAL, _cls("2,-2,0,0,0"), _cls("2,-1,-1,-1,0"),
+               _cls("2,0,-1,-1,-1"), _cls("4,-2,-1,-1,-1"), _cls("3,-2,-1,0,0"),
+               scale(ANTICANONICAL, 2)]
+    rng = random.Random(2026)
+    checked = {}
+    for q in (2, 3, 4, 5, 8, 9):
+        ctx = field_of_order(q)
+        for alpha in classes:
+            dd = degree_data(alpha)
+            degs6 = tuple(dd[name] for name in _SLOTS)
+            # at q = 2 four linear forms cannot be coprime: -K has none
+            for _ in range(3):
+                for _ in range(100):
+                    afixed = tuple(
+                        form_from_index(ctx, dd[f"E{i}"],
+                                        rng.randrange(1, q ** (dd[f"E{i}"] + 1)))
+                        for i in (1, 2, 3, 4))
+                    if all(forms_coprime(afixed[i], afixed[j])
+                           for i in range(4) for j in range(i + 1, 4)):
+                        break
+                else:
+                    continue
+                checked[q] = checked.get(q, 0) + 1
+                dim, basis = _kernel_coords(afixed, degs6[:3], degs6[3:])
+                _, _, old = plucker_kernel(afixed, degs6[:3])
+                assert dim == len(old) and len(basis) == ctx.e * dim, (q, alpha)
+                new = []
+                for x in basis:
+                    forms = _unpack(ctx, x, degs6)
+                    coords = dict(zip(_SLOTS, forms))
+                    coords.update((f"E{i + 1}", f.coeffs) for i, f in enumerate(afixed))
+                    for rel in relations:
+                        total = ()
+                        for sign, u, v in rel:
+                            prod = pmul(ctx, coords[u], coords[v])
+                            total = (padd if sign > 0 else psub)(ctx, total, prod)
+                        assert total == (), (q, alpha, afixed, rel)
+                    new.append(forms[0] + forms[1] + forms[2])
+                ncols = sum(degs6[:3]) + 3
+                assert len(rref(ctx, new, ncols)[0]) == dim
+                assert len(rref(ctx, new + list(old), ncols)[0]) == dim
+                if q**dim <= 4096:
+                    assert len(set(_walk(ctx.p, basis))) == q**dim - 1
+    assert checked == {2: 17, 3: 21, 4: 21, 5: 21, 8: 21, 9: 21}
+
+
 def test_root_masks_read_off_coprimality():
     from itertools import combinations
 
-    from dp5.count import _packed_basis, _root_mask, _root_masks
+    from dp5.count import _packed_basis, _root_masks
     from dp5.gf import field_of_order
-    from dp5.p1 import form_from_index, forms_coprime
+    from dp5.p1 import factor_poly, form_from_index, forms_coprime, irreducibles
+
+    def _root_mask(ctx, f, bits):
+        # the root mask by factorisation, over the points that have a bit
+        mask = 0 if f.coeffs[-1] else 1
+        for pi in factor_poly(ctx, f.dehom()):
+            if pi in bits:
+                mask |= 1 << bits[pi]
+        return mask
 
     for q, degs in ((2, (0, 1, 3)), (3, (0, 1, 2)), (4, (1, 2)), (9, (0, 1))):
         ctx = field_of_order(q)
-        tables, bits = _root_masks(ctx, degs)
+        tables = _root_masks(ctx, degs)
+        points = [(1, 0)] + irreducibles(ctx, max(degs))
+        bits = {pi: bit for bit, pi in enumerate(points)}
         forms = [form_from_index(ctx, d, i)
                  for d in degs for i in range(1, q ** (d + 1))]
         assert sum(map(len, tables.values())) == len(forms)
@@ -378,7 +468,7 @@ def test_root_masks_read_off_coprimality():
 def test_slot_groups_are_the_disjoint_slot_pairs():
     from itertools import combinations
 
-    from dp5.count import _FIXED_PARTNERS, _SLOT_GROUPS, _SLOTS, COORD_NAMES
+    from dp5.count import _SLOT_GROUPS, _SLOTS, COORD_NAMES
 
     slot = {COORD_NAMES.index(name): s for s, name in enumerate(_SLOTS)}
     var = {frozenset((slot[i], slot[j])) for i, j in DISJOINT_PAIRS if i >= 4}
@@ -389,9 +479,19 @@ def test_slot_groups_are_the_disjoint_slot_pairs():
         for b in h
     }
     assert var == cross and len(var) == 12
-    fixed = {(i, slot[j]) for i, j in DISJOINT_PAIRS if i < 4 <= j}
-    assert fixed == {(i, s) for s, pair in enumerate(_FIXED_PARTNERS) for i in pair}
+    # the outer-pair check is implied: a point of a_i and a_jk (i not in
+    # {j, k}) also lies on a_js, s the fourth index, and (L_jk, L_js) is a
+    # cross pair of the slot groups
+    fixed = {(i, j) for i, j in DISJOINT_PAIRS if i < 4 <= j}
     assert len(fixed) == 12
+    for i in range(1, 5):
+        for j, k in combinations(sorted({1, 2, 3, 4} - {i}), 2):
+            assert (i - 1, COORD_NAMES.index(f"L{j}{k}")) in fixed
+            (s,) = {1, 2, 3, 4} - {i, j, k}
+            for a, b in ((j, k), (k, j)):
+                jk = slot[COORD_NAMES.index(f"L{min(a, b)}{max(a, b)}")]
+                js = slot[COORD_NAMES.index(f"L{min(a, s)}{max(a, s)}")]
+                assert frozenset((jk, js)) in cross, (i, a, b)
 
 
 def test_root_mask_tables_are_budgeted_before_they_are_built(monkeypatch):

@@ -244,3 +244,27 @@ def test_truncation_check_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_input_checks_raise_value_error_under_python_O():
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "from dp5.motivic import SeriesL, divisor_class_p1, witt_exponents\n"
+        "a = SeriesL(3, (1, 2, 3))\n"
+        "calls = [lambda: a.substitute(0), lambda: a.truncate(4),\n"
+        "         lambda: divisor_class_p1(-1),\n"
+        "         lambda: witt_exponents((2, 1), 3)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('check vanished')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -1,7 +1,10 @@
 """Sections of O(d) on the projective line: polynomial helpers, divisors,
 factorization, and the closed-point counts they must reproduce."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +80,31 @@ def test_irreducible_counts_match_necklace_formula():
         for n, want in enumerate(counts, start=1):
             assert sum(1 for p in irr if pdeg(p) == n) == want
             assert points_by_degree(q, n) == want + (1 if n == 1 else 0)
+
+
+def test_irreducibles_match_trial_division():
+    from itertools import product
+
+    from dp5.p1 import pmod
+
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = field_of_order(q)
+        monic = {d: [tuple(c) + (1,) for c in product(range(q), repeat=d)]
+                 for d in range(4)}
+        for d in monic:  # lex order: the highest lower coefficient first
+            monic[d].sort(key=lambda f: f[::-1])
+        want = [f for d in (1, 2, 3) for f in monic[d]
+                if not any(not pmod(ctx, f, g)
+                           for k in range(1, d // 2 + 1) for g in monic[k])]
+        assert irreducibles(ctx, 3) == want, q
+
+
+def test_irreducible_counts_match_points_by_degree():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11):
+        irr = irreducibles(field_of_order(q), 4)
+        for n in range(1, 5):
+            got = sum(1 for f in irr if pdeg(f) == n)
+            assert got + (n == 1) == points_by_degree(q, n), (q, n)
 
 
 def test_factor_poly_reconstructs_input():
@@ -163,3 +191,49 @@ def test_form_from_index_is_a_bijection():
     ctx = field_of_order(4)
     seen = {form_from_index(ctx, 1, i).coeffs for i in range(16)}
     assert len(seen) == 16
+
+
+def _run_under_python_O(code):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_input_checks_raise_value_error_under_python_O():
+    _run_under_python_O(
+        "from dp5.gf import field_of_order\n"
+        "from dp5.p1 import BinaryForm, factor_poly\n"
+        "f2, f3 = field_of_order(2), field_of_order(3)\n"
+        "f, g = BinaryForm(f2, 1, (1, 1)), BinaryForm(f2, 2, (1, 0, 1))\n"
+        "h = BinaryForm(f3, 1, (1, 1))\n"
+        "calls = [lambda: f * h, lambda: f + g, lambda: f - g,\n"
+        "         lambda: factor_poly(f2, ())]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('check vanished')\n"
+    )
+
+
+def test_invariant_checks_raise_dp5error_under_python_O():
+    # each check is made to fail by breaking what it relies on
+    _run_under_python_O(
+        "from dp5 import gf, p1, picard\n"
+        "from dp5.errors import DP5Error\n"
+        "gf.FieldCtx._raw_mul = lambda self, a, b: 0\n"
+        "p1.mobius_inversion = lambda values: [1] * len(values)\n"
+        "picard.meets = lambda a, b: False\n"
+        "calls = [lambda: gf.FieldCtx(5), lambda: p1.points_by_degree(2, 2),\n"
+        "         picard._frames,\n"
+        "         lambda: picard._frame_perm(('E1', 'E2', 'E3', 'E4'))]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except DP5Error:\n"
+        "        continue\n"
+        "    raise SystemExit('check vanished')\n"
+    )
