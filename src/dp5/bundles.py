@@ -40,6 +40,7 @@ from .p1 import (
     pdeg,
     pmod,
     pmul,
+    point_degree,
     pstrip,
 )
 from .picard import CurveClass, degree_data, in_eff_dual
@@ -404,8 +405,6 @@ def _squarefree_pool(ctx: FieldCtx):
 
 def _small_subdivisors(dv: Divisor):
     """Squarefree subdivisors of degree <= 2 with points of degree <= 2."""
-    from .p1 import point_degree
-
     pts = [p for p in dv.support() if point_degree(p) <= 2]
     out = [Divisor()]
     out += [Divisor.point(p) for p in pts]

@@ -39,7 +39,6 @@ from .picard import (
     boundary_distance,
     chamber_coords,
     chamber_normalize,
-    degree_data,
     pairings_to_class,
 )
 
@@ -61,6 +60,18 @@ def _parse_pairings(text: str) -> CurveClass:
         )
     dd = dict(zip(LINES, (int(p) for p in parts)))
     return pairings_to_class(dd)
+
+
+def _exact(x: Fraction) -> str:
+    """str(x), past the int-string limit (3.10.7+) for this call only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _write_record(path: str, command: str, params: dict, payload: dict, t0: float):
@@ -156,7 +167,7 @@ def cmd_constant(args) -> int:
         out["zeta"] = leading_constant_zeta(args.q, curve=curve, target_radius=target)
         print(f"zeta:   {out['zeta']}")
     payload = {
-        name: {"mid": str(c.mid), "rad": str(c.rad), "float": float(c.mid)}
+        name: {"mid": _exact(c.mid), "rad": _exact(c.rad), "float": float(c.mid)}
         for name, c in out.items()
     }
     if args.out:
@@ -179,16 +190,18 @@ def cmd_constant(args) -> int:
 def cmd_motivic(args) -> int:
     from .motivic import motivic_constant
 
+    q = args.specialize
+    if q is not None and q < 2:
+        raise ValueError(f"--specialize needs Q >= 2, got {q}")
     t0 = time.time()
     s = motivic_constant(args.trunc)
     print(s)
     payload = {"trunc": args.trunc, "coeffs": list(s.coeffs)}
-    if args.specialize:
-        q = args.specialize
+    if q is not None:
         val = s.at(Fraction(1, q))
-        print(f"at u = 1/{q}: {val} ~ {float(val)!r}")
         payload["specialize_q"] = q
-        payload["value"] = str(val)
+        payload["value"] = _exact(val)
+        print(f"at u = 1/{q}: {payload['value']} ~ {float(val)!r}")
     if args.out:
         params = {"trunc": args.trunc, "specialize": args.specialize}
         _write_record(args.out, "motivic", params, payload, t0)

@@ -6,8 +6,8 @@ projective line) is
     c = (q^{-g} h / (1 - q^{-1}))^5 * prod_v F(q_v^{-1}),
 
 a product over the closed points v of C, with local factor
-F(x) = (1-x)^5 (1+5x+x^2) and h the class number.  Everything is computed
-with Fraction arithmetic and explicit error intervals: a result is a
+F(x) = (1-x)^5 (1+5x+x^2) and h the class number.  Everything is exact
+rational arithmetic with explicit error intervals: a result is a
 CertifiedReal (mid, rad) with the true value guaranteed inside
 [mid - rad, mid + rad].
 
@@ -23,20 +23,24 @@ Two independent evaluation strategies are provided.
   Z_C the zeta function of C.  Since |e_k| <= 2*(24/5)^k the series only
   converges for q >= 5; smaller q raises Diverges.
 
-All logarithms are exact alternating series on rationals; accumulated sums
-are rounded to a fixed dyadic grid term by term (otherwise denominators of
-the form q^{7n} or q^k - 1 pile up into an lcm explosion), and every
-rounding contributes 2^{-BITS-1} to the radius.
+Each logarithm log(1 + a/b) is its alternating series, summed exactly as
+one integer over b^J lcm(1..J).  The logarithms are summed on a dyadic grid
+2^-bits as integer counts of steps, since exact sums would pile up
+denominators q^{7n} or q^k - 1 into an lcm explosion.  A midpoint term is
+rounded to the nearest step, half to even, and its exact rounding error
+joins the radius; those errors are summed in integers over one common
+denominator.  A radius term is rounded up to the next step.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DP5Error, Diverges, NegativePointCount, TargetUnreachable
 from .gf import mobius_inversion, prime_power
-from .motivic import LOCAL_FACTOR_COEFFS, witt_exponents
+from .motivic import LOCAL_FACTOR_COEFFS, power_sums, witt_exponents
 
 _N_CAP = 64
 _K_CAP = 2000
@@ -59,61 +63,88 @@ class CertifiedReal(NamedTuple):
         return f"CertifiedReal({float(self.mid):.17g} +/- {float(self.rad):.3g})"
 
 
-def _dyadic_round(x: Fraction, bits: int):
-    """Nearest multiple of 2^-bits; error is at most 2^-(bits+1)."""
-    scaled = x * (1 << bits)
-    n = round(scaled)
-    return Fraction(n, 1 << bits), abs(Fraction(n) - scaled) / (1 << bits)
+class _Grid:
+    """A sum kept on the dyadic grid 2^-bits in integers.
+
+    mid and rad count grid steps.  The errors of rounding mid terms are kept
+    exactly, as rem/(den 2^bits) over one common denominator den.
+    """
+
+    __slots__ = ("bits", "mid", "rad", "rem", "den")
+
+    def __init__(self, bits: int):
+        self.bits = bits
+        self.mid = self.rad = self.rem = 0
+        self.den = 1
+
+    def add(self, num: int, den: int) -> None:
+        """Add num/den (den > 0), rounded half to even as round() does."""
+        n, r = divmod(num << self.bits, den)
+        if 2 * r > den or (2 * r == den and n & 1):
+            n, r = n + 1, den - r
+        self.mid += n
+        lcm = math.lcm(self.den, den)
+        self.rem = self.rem * (lcm // self.den) + r * (lcm // den)
+        self.den = lcm
+
+    def add_up(self, *parts) -> None:
+        """Add the sum of n/d over parts (n >= 0, d > 0), rounded up as a whole."""
+        num, den = 0, 1
+        for n, d in parts:
+            num, den = num * d + n * den, den * d
+        self.rad -= -(num << self.bits) // den
+
+    def value(self):
+        """(mid, rad) as Fractions."""
+        return (Fraction(self.mid, 1 << self.bits),
+                Fraction(self.rad * self.den + self.rem, self.den << self.bits))
 
 
-def _dyadic_up(x: Fraction, bits: int) -> Fraction:
-    """Smallest multiple of 2^-bits that is >= x; keeps radius sums cheap."""
-    n = -((-x.numerator * (1 << bits)) // x.denominator)
-    return Fraction(n, 1 << bits)
+def _log1p_series(a: int, b: int, tn: int, td: int):
+    """log(1 + a/b), b > 0, summed until the tail bound is <= tn/td.
+
+    Returns (n, d, en, ed): the j terms sum to n/d, d = b^j lcm(1..j), and
+    the tail is at most en/ed = |a/b|^(j+1) / ((j+1)(1 - |a/b|)).
+    """
+    aa = abs(a)
+    if aa >= b:
+        raise DP5Error(f"log1p series requires |w| < 1, got |w| = {aa / b:.3g}")
+    n, j, l, apow, bpow = 0, 0, 1, 1, 1
+    while True:
+        j += 1
+        lj = math.lcm(l, j)
+        apow, bpow = apow * a, bpow * b
+        n = n * b * (lj // l) + (apow if j % 2 else -apow) * (lj // j)
+        l = lj
+        en, ed = abs(apow) * aa, (j + 1) * (b - aa) * bpow
+        if en * td <= tn * ed:
+            return n, bpow * l, en, ed
 
 
 def _log1p_interval(w: Fraction, tol: Fraction):
     """(mid, rad) with log(1+w) in [mid-rad, mid+rad]; needs |w| < 1."""
-    aw = abs(w)
-    if aw >= 1:
-        raise DP5Error(f"log1p series requires |w| < 1, got |w| = {float(aw):.3g}")
-    if w == 0:
-        return Fraction(0), Fraction(0)
-    s = Fraction(0)
-    wpow = Fraction(1)
-    j = 0
-    while True:
-        j += 1
-        wpow *= w
-        s += wpow / j if j % 2 else -wpow / j
-        tail = aw ** (j + 1) / ((j + 1) * (1 - aw))
-        if tail <= tol:
-            return s, tail
+    n, d, en, ed = _log1p_series(w.numerator, w.denominator,
+                                 tol.numerator, tol.denominator)
+    return Fraction(n, d), Fraction(en, ed)
 
 
 def _exp_interval(m: Fraction, r: Fraction, tol: Fraction) -> CertifiedReal:
     """Interval for exp(x) over |x - m| <= r, with r < 1."""
     if r >= 1:
         raise DP5Error(f"exp interval needs radius < 1, got {float(r):.3g}")
-    s = Fraction(1)
-    term = Fraction(1)
-    aterm = Fraction(1)
+    s = term = Fraction(1)
     am = abs(m)
     j = 0
     while True:
         j += 1
         term = term * m / j
-        aterm = aterm * am / j
         s += term
         ratio = am / (j + 2)
         if ratio < 1:
-            tail = aterm * am / ((j + 1) * (1 - ratio))
+            tail = abs(term) * am / ((j + 1) * (1 - ratio))
             if tail <= tol:
                 break
-    rad = tail
-    if r > 0:
-        rad += (s + tail) * (r / (1 - r))
-    return CertifiedReal(s, rad)
+    return CertifiedReal(s, tail + (s + tail) * (r / (1 - r)))
 
 
 def local_factor(x) -> Fraction:
@@ -137,8 +168,6 @@ class CurveZeta:
             raise ValueError("weil polynomial must have degree exactly 2g")
         if weil[0] != 1:
             raise ValueError("weil polynomial must have constant term 1")
-        if g > 0 and weil[-1] != q**g:
-            raise ValueError("weil polynomial violates the functional equation")
         for j in range(g + 1):
             if weil[2 * g - j] != q ** (g - j) * weil[j]:
                 raise ValueError("weil polynomial violates the functional equation")
@@ -151,15 +180,7 @@ class CurveZeta:
 
     def point_counts(self, n: int):
         """[N_1, ..., N_n] with N_m the number of F_{q^m} points."""
-        c = self.weil
-        s = [0] * (n + 1)
-        for m in range(1, n + 1):
-            acc = m * (c[m] if m < len(c) else 0)
-            for j in range(1, m):
-                cj = c[j] if j < len(c) else 0
-                if cj:
-                    acc += cj * s[m - j]
-            s[m] = -acc
+        s = power_sums(self.weil, n)
         counts = []
         for m in range(1, n + 1):
             nm = self.q**m + 1 - s[m]
@@ -230,6 +251,16 @@ def _checked_inputs(q: int, curve: Optional[CurveZeta], target_radius):
     return target, curve
 
 
+def _finish(grid: _Grid, pf: Fraction, budget: Fraction) -> CertifiedReal:
+    """pf * exp(grid sum), its midpoint rounded back onto the grid."""
+    ev = _exp_interval(*grid.value(), budget / (8 * pf))
+    x = pf * ev.mid
+    out = _Grid(grid.bits)
+    out.add(x.numerator, x.denominator)
+    mid, re = out.value()
+    return CertifiedReal(mid, pf * ev.rad + re)
+
+
 def leading_constant_direct(
     q: int,
     curve: Optional[CurveZeta] = None,
@@ -240,14 +271,8 @@ def leading_constant_direct(
     g = curve.g
 
     def tail_bound(n):
-        x0 = Fraction(1, q ** (n + 1))
-        return (
-            Fraction(15, 1)
-            / (1 - x0)
-            * (2 + 2 * g)
-            * Fraction(1, q**n)
-            / ((n + 1) * (q - 1))
-        )
+        """15/(1-x0) (2+2g) q^-n / ((n+1)(q-1)), x0 = q^-(n+1), as (num, den)."""
+        return 30 * (1 + g) * q, (q ** (n + 1) - 1) * (n + 1) * (q - 1)
 
     n_min = 1
     while q ** (n_min + 1) < 15:
@@ -256,29 +281,25 @@ def leading_constant_direct(
 
     def run(budget: Fraction) -> CertifiedReal:
         n = n_min
-        while tail_bound(n) > budget / 4:
+        while Fraction(*tail_bound(n)) > budget / 4:
             n += 1
             if n > _N_CAP:
                 raise TargetUnreachable(
                     f"radius {float(target):.3g} needs degree cutoff beyond {_N_CAP}"
                 )
         counts = curve.closed_points(n)
-        bits = _required_bits(budget, n)
+        grid = _Grid(_required_bits(budget, n))
+        grid.add_up(tail_bound(n))
         per_term = budget / (16 * n)
-        s_mid = Fraction(0)
-        s_rad = _dyadic_up(tail_bound(n), bits)
         for m in range(1, n + 1):
             a = counts[m - 1]
             if a == 0:
                 continue
             w = local_factor(Fraction(1, q**m)) - 1
             lm, lr = _log1p_interval(w, per_term / a)
-            rm, re = _dyadic_round(a * lm, bits)
-            s_mid += rm
-            s_rad += _dyadic_up(a * lr, bits) + re
-        ev = _exp_interval(s_mid, s_rad, budget / (8 * pf))
-        mid, re = _dyadic_round(pf * ev.mid, bits)
-        return CertifiedReal(mid, pf * ev.rad + re)
+            grid.add(a * lm.numerator, lm.denominator)
+            grid.add_up((a * lr.numerator, lr.denominator))
+        return _finish(grid, pf, budget)
 
     return _to_target(run, target)
 
@@ -297,61 +318,60 @@ def leading_constant_zeta(
     """
     target, curve = _checked_inputs(q, curve, target_radius)
     g = curve.g
-    r = Fraction(24, 5 * q)
-    if r >= 1:
-        raise Diverges(f"zeta expansion has term ratio {float(r):.3g} >= 1 at q={q}")
-    cgeom = 2 * (Fraction(3, 2) + Fraction(11, 5) * g) * q
+    if 5 * q <= 24:
+        raise Diverges(
+            f"zeta expansion has term ratio {24 / (5 * q):.3g} >= 1 at q={q}")
 
     def tail_bound(k):
-        return cgeom * r ** (k + 1) / (1 - r)
+        """cgeom r^(k+1) / (1-r), r = 24/(5q), cgeom = (3 + 22g/5) q, as (num, den)."""
+        return ((15 + 22 * g) * q * q * 24 ** (k + 1),
+                (5 * q - 24) * (5 * q) ** (k + 1))
 
     pf = _prefactor(curve)
     weil = curve.weil
 
     def run(budget: Fraction) -> CertifiedReal:
+        bn, bd = budget.numerator, budget.denominator
         kk = K
         if kk is None:
             kk = 2
-            rpow = r**3
-            while cgeom * rpow / (1 - r) > budget / 4:
+            tn, td = tail_bound(kk)
+            while 4 * bd * tn > bn * td:
                 kk += 1
-                rpow *= r
+                tn, td = 24 * tn, 5 * q * td
                 if kk > _K_CAP:
                     raise TargetUnreachable(
                         f"radius {float(target):.3g} needs more than {_K_CAP} zeta values"
                     )
         e = witt_exponents(LOCAL_FACTOR_COEFFS, kk)
-        bits = _required_bits(budget, 3 * kk)
-        s_mid = Fraction(0)
-        s_rad = _dyadic_up(tail_bound(kk), bits)
+        grid = _Grid(_required_bits(budget, 3 * kk))
+        grid.add_up(tail_bound(kk))
         for k in range(2, kk + 1):
             ek = e[k]
             if ek == 0:
                 continue
-            t = Fraction(1, q**k)
-            tol = budget / (48 * kk * abs(ek))
-            # log Z = log P(t) - log(1-t) - log(1-qt)
-            lz_mid = Fraction(0)
-            lz_rad = Fraction(0)
-            pt = sum(c * t**j for j, c in enumerate(weil))
-            for w, sign in ((pt - 1, 1), (-t, -1), (-q * t, -1)):
-                lm, lr = _log1p_interval(w, tol)
-                lz_mid += sign * lm
-                lz_rad += lr
-            rm, re = _dyadic_round(-ek * lz_mid, bits)
-            s_mid += rm
-            s_rad += _dyadic_up(abs(ek) * lz_rad, bits) + re
-        ev = _exp_interval(s_mid, s_rad, budget / (8 * pf))
-        mid, re = _dyadic_round(pf * ev.mid, bits)
-        return CertifiedReal(mid, pf * ev.rad + re)
+            # log Z = log P(t) - log(1-t) - log(1-qt) at t = q^-k, summed
+            # exactly over the lcm of the three series denominators
+            pa = sum(c * q ** (k * (2 * g - j)) for j, c in enumerate(weil) if j)
+            tol_den = 48 * kk * abs(ek) * bd
+            num, den, tails = 0, 1, []
+            for a, x, sign in ((pa, 2 * g * k, 1), (-1, k, -1), (-1, k - 1, -1)):
+                n, d, en, ed = _log1p_series(a, q**x, bn, tol_den)
+                lcm = math.lcm(den, d)
+                num, den = num * (lcm // den) + sign * n * (lcm // d), lcm
+                tails.append((abs(ek) * en, ed))
+            grid.add(-ek * num, den)
+            grid.add_up(*tails)
+        return _finish(grid, pf, budget)
 
     if K is not None:
         # explicit truncation: the tail is fixed, so report whatever radius
         # it yields instead of trying to tighten
-        if tail_bound(K) >= 1:
+        tn, td = tail_bound(K)
+        if tn >= td:
             raise TargetUnreachable(
-                f"K={K} leaves a tail of {float(tail_bound(K)):.3g} in the "
-                "exponent; no useful interval"
+                f"K={K} leaves a tail of {tn / td:.3g} in the exponent; "
+                "no useful interval"
             )
         return run(target)
     return _to_target(run, target)

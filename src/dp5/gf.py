@@ -76,7 +76,8 @@ def mobius_inversion(values) -> list[int]:
 # -- polynomial helpers over F_p (coefficient tuples, ascending, no top zeros)
 
 
-def _pstrip(c):
+def pstrip(c):
+    """c without its trailing zeros, as a tuple."""
     i = len(c)
     while i > 0 and c[i - 1] == 0:
         i -= 1
@@ -91,7 +92,7 @@ def _pmul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 r[i + j] = (r[i + j] + x * y) % p
-    return _pstrip(r)
+    return pstrip(r)
 
 
 def _pmod(a, m, p):
@@ -103,7 +104,16 @@ def _pmod(a, m, p):
         if c:
             for j in range(dm + 1):
                 a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _pstrip(a[:dm])
+    return pstrip(a[:dm])
+
+
+def _digits(n: int, p: int, k: int) -> list:
+    """The k lowest base-p digits of n, low first."""
+    out = []
+    for _ in range(k):
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
 
 
 def _irreducible(f, p) -> bool:
@@ -115,13 +125,7 @@ def _irreducible(f, p) -> bool:
         return False
     for deg in range(1, d // 2 + 1):
         for idx in range(p**deg):
-            g = []
-            n = idx
-            for _ in range(deg):
-                g.append(n % p)
-                n //= p
-            g.append(1)
-            if not _pmod(f, tuple(g), p):
+            if not _pmod(f, tuple(_digits(idx, p, deg)) + (1,), p):
                 return False
     return True
 
@@ -131,12 +135,7 @@ def _smallest_modulus(p: int, e: int):
     if e == 1:
         return (0, 1)
     for idx in range(p**e):
-        c = []
-        n = idx
-        for _ in range(e):
-            c.append(n % p)
-            n //= p
-        f = tuple(c) + (1,)
+        f = tuple(_digits(idx, p, e)) + (1,)
         if f[0] != 0 and _irreducible(f, p):
             return f
     raise AssertionError("no irreducible found")  # unreachable for prime p
@@ -191,13 +190,6 @@ class FieldCtx:
         self._build_tables()
 
     # int <-> digit vector
-    def _digits(self, a: int):
-        d = []
-        for _ in range(self.e):
-            d.append(a % self.p)
-            a //= self.p
-        return d
-
     def _undigits(self, d) -> int:
         a = 0
         for c in reversed(list(d)):
@@ -205,8 +197,9 @@ class FieldCtx:
         return a
 
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _pmul(tuple(self._digits(a)), tuple(self._digits(b)), self.p)
-        return self._undigits(_pmod(prod, self.modulus, self.p) + ((0,) * self.e))
+        p, e = self.p, self.e
+        prod = _pmul(tuple(_digits(a, p, e)), tuple(_digits(b, p, e)), p)
+        return self._undigits(_pmod(prod, self.modulus, p) + (0,) * e)
 
     def _build_tables(self):
         p, q = self.p, self.q

@@ -29,7 +29,7 @@ from math import comb
 from operator import mul
 
 from .errors import DegenerateK, NonExactDivision, NonUnit, TruncationMismatch
-from .gf import mobius_inversion
+from .gf import mobius_inversion, pstrip
 
 # (1-x)^5 (1+5x+x^2) expanded; the linear term vanishes, so e_1 = 0
 LOCAL_FACTOR_COEFFS = (1, 0, -14, 35, -35, 14, 0, -1)
@@ -243,28 +243,35 @@ def divisor_class_p1(d: int):
     return (1,) * (d + 1)
 
 
-def witt_exponents(fcoeffs, K: int):
-    """Integers e_1..e_K with prod (1-x^k)^{e_k} = F(x) mod x^{K+1}.
+def power_sums(fcoeffs, n: int) -> list[int]:
+    """[0, p_1, ..., p_n]: power sums of the inverse roots of F, F(0) = 1.
 
-    Returned as a list indexed by k (entry 0 unused).  Power sums p_m of the
-    inverse roots of F obey Newton's identity
-    p_m + f_1 p_{m-1} + ... + f_{m-1} p_1 + m f_m = 0, and matching log
-    coefficients gives sum_{k|m} k e_k = p_m, inverted by Moebius.
+    Newton's identity p_m + f_1 p_{m-1} + ... + f_{m-1} p_1 + m f_m = 0.
     """
-    if fcoeffs[0] != 1:
-        raise ValueError("F must have constant term 1")
     f = list(fcoeffs)
     nz = [(j, fj) for j, fj in enumerate(f) if j and fj]
-    p = [0] * (K + 1)
-    for m in range(1, K + 1):
+    p = [0] * (n + 1)
+    for m in range(1, n + 1):
         s = m * f[m] if m < len(f) else 0
         for j, fj in nz:
             if j >= m:
                 break
             s += fj * p[m - j]
         p[m] = -s
+    return p
+
+
+def witt_exponents(fcoeffs, K: int):
+    """Integers e_1..e_K with prod (1-x^k)^{e_k} = F(x) mod x^{K+1}.
+
+    Returned as a list indexed by k (entry 0 unused).  Matching log
+    coefficients gives sum_{k|m} k e_k = p_m with p_m the power sums,
+    inverted by Moebius.
+    """
+    if fcoeffs[0] != 1:
+        raise ValueError("F must have constant term 1")
     e = [0] * (K + 1)
-    for k, s in enumerate(mobius_inversion(p)[1:], 1):
+    for k, s in enumerate(mobius_inversion(power_sums(fcoeffs, K))[1:], 1):
         e[k], r = divmod(s, k)
         if r:
             raise NonExactDivision(f"non-integral Witt exponent at k={k}")
@@ -311,13 +318,6 @@ def _ipmul(a, b):
     return tuple(out)
 
 
-def _ipstrip(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
-
-
 def _pattern_exponent(eps):
     e1, e2, e3, e4 = eps
     return max(e1, e2, e3) + max(e1, e2, e4) + max(min(e1, e2), e3, e4)
@@ -335,7 +335,7 @@ def local_identity_checks(seed: int = 0) -> dict:
         term = [0] * (_pattern_exponent(eps) + 1)
         term[-1] = sign
         acc = _ipadd(acc, tuple(term))
-    report["pattern16"] = _ipstrip(acc) == (1, 0, -4, 3)
+    report["pattern16"] = pstrip(acc) == (1, 0, -4, 3)
 
     # (ii) at a point dividing a_j only D_j survives: two patterns
     ok = True
@@ -344,17 +344,17 @@ def local_identity_checks(seed: int = 0) -> dict:
         poly = [0] * (_pattern_exponent(eps) + 1)
         poly[-1] = -1
         poly[0] += 1
-        ok = ok and _ipstrip(tuple(poly)) == (1, 0, -1)
+        ok = ok and pstrip(tuple(poly)) == (1, 0, -1)
     report["pattern2"] = ok
 
     # (iii) assembling the two kinds of points reproduces the global factor
     lhs_inner = _ipadd((1, 0, -4, 3), _ipmul((0, 4), (1, 0, -1)))
-    report["pattern_assembly"] = _ipstrip(lhs_inner) == (1, 4, -4, -1)
+    report["pattern_assembly"] = pstrip(lhs_inner) == (1, 4, -4, -1)
     one_minus = (1, -1)
     p4 = _ipmul(_ipmul(one_minus, one_minus), _ipmul(one_minus, one_minus))
     lhs = _ipmul(p4, lhs_inner)
     rhs = _ipmul(_ipmul(p4, one_minus), (1, 5, 1))
-    report["factor_identity"] = _ipstrip(lhs) == _ipstrip(rhs)
+    report["factor_identity"] = pstrip(lhs) == pstrip(rhs)
 
     # (iv) Moebius sums over subdivisors factor through the support
     import random
@@ -380,7 +380,7 @@ def local_identity_checks(seed: int = 0) -> dict:
                 factor = [0] * (point_degree(pt) + 1)
                 factor[0], factor[-1] = 1, -1
                 rhs = _ipmul(rhs, tuple(factor))
-            ok = ok and _ipstrip(lhs) == _ipstrip(rhs)
+            ok = ok and pstrip(lhs) == pstrip(rhs)
     report["mobius_factorization"] = ok
 
     report["all"] = all(report.values())

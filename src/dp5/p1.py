@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, DP5Error, NegativePointCount, ZeroForm
-from .gf import FieldCtx, mobius_inversion
+from .gf import FieldCtx, mobius_inversion, pstrip
 
 INF = None  # the point at infinity; every other point is a monic poly tuple
 
@@ -26,13 +26,6 @@ DEFAULT_BUDGET = 1 << 30
 
 
 # -- polynomials over F_q: ascending coefficient tuples, no trailing zeros --
-
-
-def pstrip(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
 
 
 def pdeg(a) -> int:

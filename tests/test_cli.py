@@ -216,3 +216,35 @@ def test_q_above_the_cap_is_invalid_input(capsys):
                  "--method", "naive"]) == 2
     assert main(["constant", "--q", "131072"]) == 2
     assert "TooLarge" in capsys.readouterr().err
+
+
+def test_high_precision_constant_writes_exact_strings(tmp_path):
+    import sys
+    from fractions import Fraction
+
+    from dp5.constants import leading_constant_zeta
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    out = tmp_path / "rec.json"
+    assert main(["constant", "--q", "7", "--method", "zeta", "--prec", "1e-60",
+                 "--out", str(out)]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    want = leading_constant_zeta(7, target_radius=Fraction("1e-60"))
+    assert want.rad.numerator.bit_length() > 15000
+    payload = json.loads(out.read_text())["payload"]["zeta"]
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        got = Fraction(payload["mid"]), Fraction(payload["rad"])
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert got == (want.mid, want.rad)
+
+
+def test_motivic_specialize_rejects_q_below_two(capsys):
+    for q in ("0", "-3"):
+        assert main(["motivic", "--trunc", "5", "--specialize", q]) == 2
+        assert "--specialize" in capsys.readouterr().err
+    assert main(["motivic", "--trunc", "5", "--specialize", "2"]) == 0
+    assert "at u = 1/2:" in capsys.readouterr().out

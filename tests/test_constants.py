@@ -245,3 +245,220 @@ def test_input_checks_are_invalid_input_also_under_python_O():
         out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                              capture_output=True, text=True)
         assert out.returncode == 0, (flags, out.stderr)
+
+
+# Reference: the all-Fraction evaluation the integer grid replaced.  Each
+# rounding is done on a Fraction and its exact error joins the radius, so
+# the integer path must reproduce (mid, rad) exactly, not just overlap.
+
+def _ref_log1p(w, tol):
+    aw = abs(w)
+    s, wpow, j = Fraction(0), Fraction(1), 0
+    while True:
+        j += 1
+        wpow *= w
+        s += wpow / j if j % 2 else -wpow / j
+        tail = aw ** (j + 1) / ((j + 1) * (1 - aw))
+        if tail <= tol:
+            return s, tail
+
+
+def _ref_round(x, bits):
+    scaled = x * (1 << bits)
+    n = round(scaled)
+    return Fraction(n, 1 << bits), abs(Fraction(n) - scaled) / (1 << bits)
+
+
+def _ref_up(x, bits):
+    return Fraction(-((-x.numerator * (1 << bits)) // x.denominator), 1 << bits)
+
+
+def _ref_to_target(run, target):
+    budget = target
+    for passes in range(1, 7):
+        out = run(budget)
+        if out.rad <= target:
+            return out, passes
+        budget /= 8
+    raise TargetUnreachable("reference")
+
+
+def _ref_finish(s_mid, s_rad, pf, budget, bits):
+    ev = _exp_interval(s_mid, s_rad, budget / (8 * pf))
+    mid, re = _ref_round(pf * ev.mid, bits)
+    return CertifiedReal(mid, pf * ev.rad + re)
+
+
+def _ref_direct(q, curve, target):
+    from dp5.constants import _prefactor, _required_bits
+
+    g = curve.g
+
+    def tail_bound(n):
+        x0 = Fraction(1, q ** (n + 1))
+        return (Fraction(15) / (1 - x0) * (2 + 2 * g) * Fraction(1, q**n)
+                / ((n + 1) * (q - 1)))
+
+    n_min = 1
+    while q ** (n_min + 1) < 15:
+        n_min += 1
+    pf = _prefactor(curve)
+
+    def run(budget):
+        n = n_min
+        while tail_bound(n) > budget / 4:
+            n += 1
+        counts = curve.closed_points(n)
+        bits = _required_bits(budget, n)
+        per_term = budget / (16 * n)
+        s_mid, s_rad = Fraction(0), _ref_up(tail_bound(n), bits)
+        for m in range(1, n + 1):
+            a = counts[m - 1]
+            if a == 0:
+                continue
+            w = local_factor(Fraction(1, q**m)) - 1
+            lm, lr = _ref_log1p(w, per_term / a)
+            rm, re = _ref_round(a * lm, bits)
+            s_mid += rm
+            s_rad += _ref_up(a * lr, bits) + re
+        return _ref_finish(s_mid, s_rad, pf, budget, bits)
+
+    return _ref_to_target(run, target)
+
+
+def _ref_zeta(q, curve, target, K=None):
+    from dp5.constants import _prefactor, _required_bits
+    from dp5.motivic import witt_exponents
+
+    g = curve.g
+    r = Fraction(24, 5 * q)
+    cgeom = 2 * (Fraction(3, 2) + Fraction(11, 5) * g) * q
+    pf = _prefactor(curve)
+
+    def run(budget):
+        kk = K
+        if kk is None:
+            kk, rpow = 2, r**3
+            while cgeom * rpow / (1 - r) > budget / 4:
+                kk += 1
+                rpow *= r
+        e = witt_exponents(LOCAL_FACTOR_COEFFS, kk)
+        bits = _required_bits(budget, 3 * kk)
+        s_mid = Fraction(0)
+        s_rad = _ref_up(cgeom * r ** (kk + 1) / (1 - r), bits)
+        for k in range(2, kk + 1):
+            ek = e[k]
+            if ek == 0:
+                continue
+            t = Fraction(1, q**k)
+            tol = budget / (48 * kk * abs(ek))
+            lz_mid, lz_rad = Fraction(0), Fraction(0)
+            pt = sum(c * t**j for j, c in enumerate(curve.weil))
+            for w, sign in ((pt - 1, 1), (-t, -1), (-q * t, -1)):
+                lm, lr = _ref_log1p(w, tol) if w else (0, 0)
+                lz_mid += sign * lm
+                lz_rad += lr
+            rm, re = _ref_round(-ek * lz_mid, bits)
+            s_mid += rm
+            s_rad += _ref_up(abs(ek) * lz_rad, bits) + re
+        return _ref_finish(s_mid, s_rad, pf, budget, bits)
+
+    if K is not None:
+        return run(target), 1
+    return _ref_to_target(run, target)
+
+
+def _counting_passes(monkeypatch):
+    from dp5 import constants
+
+    passes = []
+    real = constants._to_target
+
+    def counted(run, target):
+        def one_pass(budget):
+            passes.append(budget)
+            return run(budget)
+        return real(one_pass, target)
+
+    monkeypatch.setattr(constants, "_to_target", counted)
+    return passes
+
+
+_E1 = curve_from_weil(7, 1, [1, 0, 7])
+_EXACT_CASES = (
+    [("direct", q, None, None, Fraction(1, 10**13))
+     for q in (2, 3, 4, 5, 7, 8, 9, 11, 101, 65521)]
+    + [("zeta", q, None, None, Fraction(1, 10**13))
+       for q in (5, 7, 8, 9, 11, 101, 65521)]
+    + [("direct", 7, _E1, None, Fraction(1, 10**13)),
+       ("zeta", 7, _E1, None, Fraction(1, 10**13)),
+       ("zeta", 7, None, 12, Fraction(1, 10**13)),
+       ("direct", 5, None, None, Fraction(1, 10**30)),
+       ("zeta", 7, None, None, Fraction(1, 10**30))]
+)
+
+
+@pytest.mark.parametrize(
+    "method,q,curve,K,target", _EXACT_CASES,
+    ids=[f"{m}-q{q}" + ("-g1" if c else "") + (f"-K{k}" if k else "")
+         + f"-tol{t.denominator.bit_length()}b" for m, q, c, k, t in _EXACT_CASES])
+def test_integer_grid_matches_fraction_reference(monkeypatch, method, q, curve,
+                                                 K, target):
+    base = projective_line(q) if curve is None else curve
+    passes = _counting_passes(monkeypatch)
+    if method == "direct":
+        got = leading_constant_direct(q, curve=curve, target_radius=target)
+        want, want_passes = _ref_direct(q, base, target)
+    else:
+        got = leading_constant_zeta(q, curve=curve, K=K, target_radius=target)
+        want, want_passes = _ref_zeta(q, base, target, K)
+    assert (got.mid, got.rad) == (want.mid, want.rad)
+    if K is None:
+        assert len(passes) == want_passes
+
+
+def test_log1p_interval_matches_fraction_series():
+    rng = random.Random(11)
+    ws = [Fraction(rng.randrange(-999, 1000), 1000) for _ in range(40)]
+    ws += [Fraction(-rng.randrange(1, 10**6), 10**6 + rng.randrange(1, 9))
+           for _ in range(10)]
+    ws += [Fraction(s * (b - 1), b) for s in (1, -1) for b in (10, 17)]
+    for q, m in ((2, 1), (3, 2), (5, 1), (7, 3), (101, 1)):
+        ws.append(local_factor(Fraction(1, q**m)) - 1)
+        ws.append(Fraction(rng.randrange(1, q ** (7 * m)), q ** (7 * m)))
+        ws.append(-Fraction(rng.randrange(1, q ** (7 * m)), q ** (7 * m)))
+    tols = (Fraction(1, 10**6), Fraction(1, 10**13), Fraction(3, 7 * 2**70))
+    for w in ws:
+        tol = rng.choice(tols)
+        assert _log1p_interval(w, tol) == _ref_log1p(w, tol), (w, tol)
+    assert _log1p_interval(Fraction(0), Fraction(1, 9)) == (0, 0)
+
+
+def test_grid_rounds_like_fraction_round_and_ceil():
+    from dp5.constants import _Grid
+
+    rng = random.Random(5)
+    bits = 8
+    step = 1 << bits
+    # exact ties first: round() takes them to the even neighbour
+    xs = [Fraction(2 * k + 1, 2 * step) for k in range(-4, 4)]
+    xs += [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+           for _ in range(200)]
+    grid, mid, rad = _Grid(bits), Fraction(0), Fraction(0)
+    for x in xs:
+        grid.add(x.numerator, x.denominator)
+        n = round(x * step)
+        mid += Fraction(n, step)
+        rad += abs(n - x * step) / step
+    assert grid.value() == (mid, rad)
+
+    cases = [[(1, 3)] * 3, [(1, 2**80), (1, 2**90)], [(1, 2**80)] * 3,
+             [(2**70, 3 * 2**80), (1, 7)], [(0, 5), (0, 9)]]
+    for _ in range(300):
+        cases.append([(rng.randrange(0, 10**a), rng.randrange(1, 10**b))
+                      for a, b in ((rng.randrange(1, 40), rng.randrange(1, 40))
+                                   for _ in range(rng.randrange(1, 4)))])
+    for parts in cases:
+        up = _Grid(bits)
+        up.add_up(*parts)
+        assert up.rad == math.ceil(sum(Fraction(n, d) for n, d in parts) * step)
