@@ -53,13 +53,15 @@ normalised coprime quadruples:
 _orbit_reps walks the quadruples with form indices nondecreasing inside each
 block of equal degree and keeps the least member of each G-orbit; count_fast
 deals these representatives round-robin to the workers, and each kernel
-count is weighted by its orbit size.
+count is weighted by its orbit size.  The walk reads coprimality off root
+masks and composes the PGL2 images of a few generators (see _orbit_images).
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
@@ -243,12 +245,17 @@ def _pgl2(ctx: FieldCtx):
 def _orbit_images(ctx: FieldCtx, forms, group):
     """images[i][k]: index in forms of the normalised f_i(as+bt, cs+dt).
 
-    forms is _monic_forms(ctx, deg); (a, b, c, d) is group[k].
+    forms is _monic_forms(ctx, deg); (a, b, c, d) is group[k], first nonzero
+    entry 1.  Only W = (0 1; 1 0), T_b = (1 b; 0 1) and D_x = (1 0; 0 x) are
+    substituted; as f o (gh) = (f o g) o h, the other columns compose theirs:
+    (1 b; c d) = W T_c W D_x T_b with x = d - bc, and (0 1; c d) ~ W D_x T_b
+    with b = d/c, x = 1/c.
     """
     deg = forms[0].d
     index = {f.coeffs: i for i, f in enumerate(forms)}
-    perms = []
-    for a, b, c, d in group:
+
+    @cache
+    def substitute(a, b, c, d):
         # the image of s^j t^(deg-j) is (as+bt)^j (cs+dt)^(deg-j)
         up, vp = [(1,)], [(1,)]
         for _ in range(deg):
@@ -264,8 +271,26 @@ def _orbit_images(ctx: FieldCtx, forms, group):
                         img[k] = ctx.add(img[k], ctx.mul(cj, mk))
             inv = ctx.inv(next(x for x in img if x))
             perm.append(index[tuple(ctx.mul(inv, x) for x in img)])
-        perms.append(perm)
-    return list(zip(*perms))
+        return perm
+
+    def then(g, h):  # the column of gh from those of g and h
+        return list(map(h.__getitem__, g))
+
+    @cache
+    def lower(c):  # (1 0; c 1)
+        return then(then(w, substitute(1, c, 0, 1)), w)
+
+    @cache
+    def upper(b, x):  # (1 b; 0 x)
+        return then(substitute(1, 0, 0, x), substitute(1, b, 0, 1))
+
+    w = substitute(0, 1, 1, 0)
+    cols = [
+        then(lower(c), upper(b, ctx.sub(d, ctx.mul(b, c)))) if a
+        else then(w, upper(ctx.div(d, c), ctx.inv(c)))
+        for a, b, c, d in group
+    ]
+    return list(zip(*cols))
 
 
 def _check_torus(m: int, q: int):
@@ -477,7 +502,8 @@ def _orbit_reps(q: int, pairings):
     run of equal consecutive degrees (after chamber_normalize, d1 <= .. <= d4,
     so the runs are the blocks of equal degree).  The walk visits only tuples
     of form indices that are nondecreasing inside each run and keeps t when
-    no run-sorted PGL2 image of t is smaller.  Returns a list of (coeffs,
+    no run-sorted PGL2 image of t is smaller; the forms of t are pairwise
+    coprime when their _root_masks are disjoint.  Returns a list of (coeffs,
     size, pgl2_orbits): the four forms as coefficient tuples, |G.t|, and the
     number of PGL2 orbits inside G.t, which is |G.t| / |PGL2.t|.
     """
@@ -488,23 +514,11 @@ def _orbit_reps(q: int, pairings):
     # with all four degrees zero there is a single quadruple
     group = _pgl2(ctx) if max(degs) else [(1, 0, 0, 1)]
     images = {d: _orbit_images(ctx, forms, group) for d, forms in lists.items()}
-    triples = {d: [_triple(f) for f in forms] for d, forms in lists.items()}
-    tables = {}
-
-    def coprime(da, db):
-        # coprime(da, db)[i][j]: the i-th form of degree da and the j-th of
-        # degree db share no point
-        if (da, db) not in tables:
-            tables[da, db] = [
-                [_coprime_triples(ctx, f, g) for g in triples[db]]
-                for f in triples[da]
-            ]
-        return tables[da, db]
-
-    d1, d2, d3, d4 = degs
-    c12, c13, c14 = coprime(d1, d2), coprime(d1, d3), coprime(d1, d4)
-    c23, c24, c34 = coprime(d2, d3), coprime(d2, d4), coprime(d3, d4)
-    l1, l2, l3, l4 = (lists[d] for d in degs)
+    tables, masks = _root_masks(ctx, degs), {}
+    for d, forms in lists.items():
+        keys = _packed_basis(ctx, [f.coeffs for f in forms])[:: ctx.e]
+        masks[d] = [tables[d][k] for k in keys]
+    m1, m2, m3, m4 = (masks[d] for d in degs)
     o1, o2, o3, o4 = (images[d] for d in degs)
     runs = _runs(degs)
     # inside a run the walk keeps form indices nondecreasing
@@ -514,18 +528,17 @@ def _orbit_reps(q: int, pairings):
         return tuple(v for a, b in runs for v in sorted(u[a:b]))
 
     reps = []
-    for i1 in range(len(l1)):
-        r12, r13, r14 = c12[i1], c13[i1], c14[i1]
-        for i2 in range(i1 if tied[1] else 0, len(l2)):
-            if not r12[i2]:
+    for i1, k1 in enumerate(m1):
+        for i2 in range(i1 if tied[1] else 0, len(m2)):
+            if k1 & m2[i2]:
                 continue
-            r23, r24 = c23[i2], c24[i2]
-            for i3 in range(i2 if tied[2] else 0, len(l3)):
-                if not (r13[i3] and r23[i3]):
+            k12 = k1 | m2[i2]
+            for i3 in range(i2 if tied[2] else 0, len(m3)):
+                if k12 & m3[i3]:
                     continue
-                r34 = c34[i3]
-                for i4 in range(i3 if tied[3] else 0, len(l4)):
-                    if not (r14[i4] and r24[i4] and r34[i4]):
+                k123 = k12 | m3[i3]
+                for i4 in range(i3 if tied[3] else 0, len(m4)):
+                    if k123 & m4[i4]:
                         continue
                     t = (i1, i2, i3, i4)
                     pgl2_orbit = set()
@@ -536,9 +549,7 @@ def _orbit_reps(q: int, pairings):
                     else:
                         sorted_images = set(map(canon, pgl2_orbit))
                         size = sum(_arrangements(s, runs) for s in sorted_images)
-                        coeffs = tuple(
-                            f.coeffs for f in (l1[i1], l2[i2], l3[i3], l4[i4])
-                        )
+                        coeffs = tuple(lists[d][i].coeffs for d, i in zip(degs, t))
                         reps.append((coeffs, size, size // len(pgl2_orbit)))
     return reps
 
@@ -625,6 +636,8 @@ def count_fast(
         )
         if tables > budget:
             raise BudgetExceeded(f"orbit tables need {tables} > budget {budget}")
+    # _orbit_reps' outer root-mask tables hold sum q^(d+1) entries: at most
+    # the orbit tables above, or q <= roots below when all four degrees are 0
     roots = sum(q ** (d + 1) for d in {dd[name] for name in _SLOTS})
     if roots > budget:
         raise BudgetExceeded(f"root-mask tables need {roots} > budget {budget}")

@@ -138,7 +138,7 @@ def _smallest_modulus(p: int, e: int):
         f = tuple(_digits(idx, p, e)) + (1,)
         if f[0] != 0 and _irreducible(f, p):
             return f
-    raise AssertionError("no irreducible found")  # unreachable for prime p
+    raise DP5Error("no irreducible found")  # unreachable for prime p
 
 
 def prime_power(q: int) -> tuple[int, int]:

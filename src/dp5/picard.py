@@ -16,6 +16,7 @@ normalization idempotent (the identity frame is lexicographically first).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -127,13 +128,15 @@ def meets(l1: str, l2: str) -> bool:
 _LINE_IDX = {name: i for i, name in enumerate(LINES)}
 
 
+def _meeting_pairs():
+    """The ordered pairs of lines that meet, read off meets."""
+    return {(a, b) for a in LINES for b in LINES if meets(a, b)}
+
+
 def _frames():
     """Ordered 4-tuples of pairwise disjoint lines, lexicographic order."""
-    indep = [
-        s
-        for s in combinations(LINES, 4)
-        if not any(meets(a, b) for a, b in combinations(s, 2))
-    ]
+    meet = _meeting_pairs()
+    indep = [s for s in combinations(LINES, 4) if meet.isdisjoint(combinations(s, 2))]
     if len(indep) != 5:
         raise DP5Error(f"{len(indep)} sets of four disjoint lines, not 5")
     frames = [f for s in indep for f in permutations(s)]
@@ -141,30 +144,30 @@ def _frames():
     return frames
 
 
-def _frame_perm(frame) -> dict:
-    """Role map of a frame: role name -> actual line filling that role."""
+def _frame_perm(frame, meet=None) -> dict:
+    """Role map of a frame: role name -> actual line filling that role;
+    meet is _meeting_pairs(), built here when None."""
+    meet = _meeting_pairs() if meet is None else meet
     perm = {f"E{i}": frame[i - 1] for i in (1, 2, 3, 4)}
     for name, (i, j) in _LINE_PAIR.items():
-        common = [
-            m for m in LINES if meets(m, frame[i - 1]) and meets(m, frame[j - 1])
-        ]
+        li, lj = frame[i - 1], frame[j - 1]
+        common = [m for m in LINES if (m, li) in meet and (m, lj) in meet]
         if len(common) != 1:
-            raise DP5Error(
-                f"{len(common)} lines meet both {frame[i - 1]} and {frame[j - 1]}"
-            )
+            raise DP5Error(f"{len(common)} lines meet both {li} and {lj}")
         perm[name] = common[0]
     return perm
 
 
-_SYMMETRIES = None
+@cache
+def _framed():
+    """(frames, role maps), in the order of _frames; constant, built once."""
+    frames, meet = _frames(), _meeting_pairs()
+    return frames, [_frame_perm(f, meet) for f in frames]
 
 
 def symmetries():
     """All 120 line permutations preserving the meeting graph."""
-    global _SYMMETRIES
-    if _SYMMETRIES is None:
-        _SYMMETRIES = [_frame_perm(f) for f in _frames()]
-    return _SYMMETRIES
+    return _framed()[1]
 
 
 def apply_symmetry(alpha: CurveClass, perm: dict) -> CurveClass:
@@ -196,11 +199,11 @@ def chamber_normalize(alpha: CurveClass):
     dd = degree_data(alpha)
     if any(v < 0 for v in dd.pairings.values()):
         raise NotInEffDual(f"{alpha} has a negative line pairing")
-    for frame, perm in zip(_frames(), symmetries()):
+    for frame, perm in zip(*_framed()):
         moved = DegreeData({name: dd[perm[name]] for name in LINES}, dd.d)
         if in_chamber(moved):
             return frame, perm, moved
-    raise AssertionError("effective-dual class missed all 120 chambers")
+    raise DP5Error("effective-dual class missed all 120 chambers")
 
 
 def boundary_distance(alpha: CurveClass) -> int:

@@ -504,3 +504,167 @@ def test_root_mask_tables_are_budgeted_before_they_are_built(monkeypatch):
     # one quadruple and no group, but a degree-0 slot table has q entries
     with pytest.raises(BudgetExceeded, match="root-mask tables need 1024"):
         count_fast(1024, CurveClass(0, 0, 0, 0, 0), budget=1023)
+
+
+def _substituted_images(ctx, forms, group):
+    # one column per group element by polynomial arithmetic, as _orbit_images
+    # computed every column before it composed them from a few generators
+    from dp5.p1 import pmul
+
+    deg = forms[0].d
+    index = {f.coeffs: i for i, f in enumerate(forms)}
+    perms = []
+    for a, b, c, d in group:
+        up, vp = [(1,)], [(1,)]
+        for _ in range(deg):
+            up.append(pmul(ctx, up[-1], (b, a)))
+            vp.append(pmul(ctx, vp[-1], (d, c)))
+        mono = [pmul(ctx, up[j], vp[deg - j]) for j in range(deg + 1)]
+        perm = []
+        for f in forms:
+            img = [0] * (deg + 1)
+            for cj, m in zip(f.coeffs, mono):
+                if cj:
+                    for k, mk in enumerate(m):
+                        img[k] = ctx.add(img[k], ctx.mul(cj, mk))
+            inv = ctx.inv(next(x for x in img if x))
+            perm.append(index[tuple(ctx.mul(inv, x) for x in img)])
+        perms.append(perm)
+    return list(zip(*perms))
+
+
+def test_composed_orbit_images_match_substitution_column_by_column():
+    import random
+
+    from dp5.count import _monic_forms, _orbit_images, _pgl2
+    from dp5.gf import field_of_order
+
+    rng = random.Random(91)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = field_of_order(q)
+        group = _pgl2(ctx)
+        # every column of the small groups, a sample of both families above
+        ks = sorted(rng.sample(range(len(group)), min(len(group), 60)))
+        assert {group[k][0] for k in ks} == {0, 1}
+        for deg in (0, 1, 2, 3):
+            forms = _monic_forms(ctx, deg)
+            columns = list(zip(*_orbit_images(ctx, forms, group)))
+            assert len(columns) == len(group)
+            want = _substituted_images(ctx, forms, [group[k] for k in ks])
+            assert [columns[k] for k in ks] == list(zip(*want)), (q, deg)
+    # the identity alone, as _orbit_reps passes it for all-zero degrees
+    ctx = field_of_order(7)
+    forms = _monic_forms(ctx, 2)
+    assert _orbit_images(ctx, forms, [(1, 0, 0, 1)]) == [(i,) for i in range(57)]
+
+
+def _orbit_reps_by_pgcd(q, pairings):
+    # _orbit_reps with its pairwise coprimality tables built by pgcd, as it
+    # was before it read them off root masks
+    from dp5.count import (
+        _arrangements,
+        _coprime_triples,
+        _monic_forms,
+        _orbit_images,
+        _pgl2,
+        _runs,
+        _triple,
+    )
+    from dp5.gf import field_of_order
+
+    ctx = field_of_order(q)
+    dd = dict(zip(LINES, pairings))
+    degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
+    lists = {d: _monic_forms(ctx, d) for d in set(degs)}
+    group = _pgl2(ctx) if max(degs) else [(1, 0, 0, 1)]
+    images = {d: _orbit_images(ctx, forms, group) for d, forms in lists.items()}
+    triples = {d: [_triple(f) for f in forms] for d, forms in lists.items()}
+
+    def coprime(da, db):
+        return [[_coprime_triples(ctx, f, g) for g in triples[db]]
+                for f in triples[da]]
+
+    d1, d2, d3, d4 = degs
+    c12, c13, c14 = coprime(d1, d2), coprime(d1, d3), coprime(d1, d4)
+    c23, c24, c34 = coprime(d2, d3), coprime(d2, d4), coprime(d3, d4)
+    l1, l2, l3, l4 = (lists[d] for d in degs)
+    o1, o2, o3, o4 = (images[d] for d in degs)
+    runs = _runs(degs)
+    tied = [p > 0 and degs[p] == degs[p - 1] for p in range(4)]
+
+    def canon(u):
+        return tuple(v for a, b in runs for v in sorted(u[a:b]))
+
+    reps = []
+    for i1 in range(len(l1)):
+        for i2 in range(i1 if tied[1] else 0, len(l2)):
+            if not c12[i1][i2]:
+                continue
+            for i3 in range(i2 if tied[2] else 0, len(l3)):
+                if not (c13[i1][i3] and c23[i2][i3]):
+                    continue
+                for i4 in range(i3 if tied[3] else 0, len(l4)):
+                    if not (c14[i1][i4] and c24[i2][i4] and c34[i3][i4]):
+                        continue
+                    t = (i1, i2, i3, i4)
+                    pgl2_orbit = set()
+                    for u in zip(o1[i1], o2[i2], o3[i3], o4[i4]):
+                        if canon(u) < t:
+                            break
+                        pgl2_orbit.add(u)
+                    else:
+                        size = sum(_arrangements(s, runs)
+                                   for s in set(map(canon, pgl2_orbit)))
+                        coeffs = tuple(
+                            f.coeffs for f in (l1[i1], l2[i2], l3[i3], l4[i4])
+                        )
+                        reps.append((coeffs, size, size // len(pgl2_orbit)))
+    return reps
+
+
+def test_orbit_reps_coprimality_by_root_masks_matches_pgcd():
+    from dp5.count import _orbit_reps
+    from dp5.picard import chamber_normalize
+
+    cases = [
+        (2, "0,0,0,0,0"),
+        (2, "6,-2,-2,-2,-2"),
+        (2, "9,-3,-3,-3,-3"),
+        (3, "1,-1,0,0,0"),
+        (3, "6,-2,-2,-2,-2"),
+        (3, "2,-1,-1,-1,0"),
+        (4, "3,-1,-1,-1,-1"),
+        (4, "2,-2,0,0,0"),
+        (5, "4,-2,-1,-1,-1"),
+        (7, "3,-1,-1,-1,-1"),
+        (8, "3,-1,-1,-1,-1"),
+        (9, "2,-2,0,0,0"),
+    ]
+    for q, text in cases:
+        pairings = chamber_normalize(_cls(text))[2].as_tuple()
+        assert _orbit_reps(q, pairings) == _orbit_reps_by_pgcd(q, pairings), (q, text)
+
+
+@pytest.mark.parametrize("q,text", [(4, "3,-1,-1,-1,-1"), (3, "2,-2,0,0,0"),
+                                    (9, "3,-1,-1,-1,-1")])
+def test_outer_tables_are_not_built_below_the_orbit_table_budget(
+    monkeypatch, q, text
+):
+    from dp5 import count
+    from dp5.picard import chamber_normalize
+
+    def refuse(*args):
+        raise AssertionError("outer tables were built")
+
+    dd = chamber_normalize(_cls(text))[2]
+    degs = {dd[f"E{i}"] for i in (1, 2, 3, 4)}
+    tables = q * (q * q - 1) * sum((q ** (d + 1) - 1) // (q - 1) for d in degs)
+    monkeypatch.setattr(count, "_root_masks", refuse)
+    monkeypatch.setattr(count, "_orbit_images", refuse)
+    msg = f"orbit tables need {tables} > budget {tables - 1}"
+    with pytest.raises(BudgetExceeded) as err:
+        count_fast(q, _cls(text), budget=tables - 1)
+    assert str(err.value) == msg
+    # the gate is tight: one more unit of budget and the tables are built
+    with pytest.raises(AssertionError, match="outer tables were built"):
+        count_fast(q, _cls(text), budget=tables)

@@ -183,3 +183,100 @@ def test_degree_cross_check_is_not_an_assert(monkeypatch):
     with pytest.raises(DP5Error, match="degree cross-check"):
         degree_data(CurveClass(0, 0, 0, 0, 1))
     assert main(["chamber", "--class", "0,0,0,0,1"]) == 1
+
+
+def _reference_frames_and_role_maps():
+    # the frames and role maps as they were built from meets on every call
+    from itertools import combinations, permutations
+
+    indep = [
+        s
+        for s in combinations(LINES, 4)
+        if not any(meets(a, b) for a, b in combinations(s, 2))
+    ]
+    frames = sorted(
+        (f for s in indep for f in permutations(s)),
+        key=lambda f: tuple(LINES.index(n) for n in f),
+    )
+    perms = []
+    for frame in frames:
+        perm = {f"E{i}": frame[i - 1] for i in (1, 2, 3, 4)}
+        for i, j in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
+            (perm[f"L{i}{j}"],) = [
+                m for m in LINES if meets(m, frame[i - 1]) and meets(m, frame[j - 1])
+            ]
+        perms.append(perm)
+    return frames, perms
+
+
+def test_frames_and_symmetries_match_a_reference_from_meets():
+    from dp5 import picard
+
+    frames, perms = _reference_frames_and_role_maps()
+    assert len(frames) == 120
+    assert picard._frames() == frames
+    assert symmetries() == perms
+    assert [picard._frame_perm(f) for f in frames] == perms
+    # chamber_normalize reports the frame that goes with its role map
+    rng = random.Random(9)
+    for _ in range(40):
+        alpha = _rand_class(rng)
+        if in_eff_dual(alpha):
+            frame, perm, _ = chamber_normalize(alpha)
+            assert perms[frames.index(frame)] == perm
+
+
+def test_frames_are_built_once_over_many_normalizations(monkeypatch):
+    from dp5 import picard
+
+    calls = []
+    build = picard._frames
+    monkeypatch.setattr(picard, "_frames", lambda: calls.append(1) or build())
+    picard._framed.cache_clear()
+    try:
+        rng = random.Random(10)
+        for _ in range(200):
+            alpha = _rand_class(rng)
+            if in_eff_dual(alpha):
+                chamber_normalize(alpha)
+        symmetries()
+    finally:
+        picard._framed.cache_clear()
+    assert len(calls) == 1
+
+
+def test_unreachable_branches_raise_dp5error_also_under_python_O(monkeypatch):
+    import os
+    import subprocess
+    import sys
+
+    from dp5 import gf, picard
+    from dp5.cli import main
+    from dp5.errors import DP5Error
+
+    monkeypatch.setattr(picard, "in_chamber", lambda dd: False)
+    monkeypatch.setattr(gf, "_irreducible", lambda f, p: False)
+    with pytest.raises(DP5Error, match="missed all 120 chambers"):
+        chamber_normalize(ANTICANONICAL)
+    assert main(["chamber", "--class", "3,-1,-1,-1,-1"]) == 1
+    with pytest.raises(DP5Error, match="no irreducible found"):
+        gf._smallest_modulus(3, 2)
+
+    code = (
+        "from dp5 import gf, picard\n"
+        "from dp5.errors import DP5Error\n"
+        "picard.in_chamber = lambda dd: False\n"
+        "gf._irreducible = lambda f, p: False\n"
+        "calls = [lambda: picard.chamber_normalize(picard.ANTICANONICAL),\n"
+        "         lambda: gf._smallest_modulus(3, 2)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except DP5Error:\n"
+        "        continue\n"
+        "    raise SystemExit('check vanished')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
