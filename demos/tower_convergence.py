@@ -1,8 +1,9 @@
 """Watch the point-count ratios approach the certified leading constant.
 
 Counts degree-5m curves in the anticanonical multiples -mK over F_2 and
-compares hom / q^(d+2) with the certified constant.  m = 4 takes a few
-seconds of exact arithmetic; pass --full to include it.
+compares hom / q^(d+2) with the certified constant.  At q = 2, m = 1..4
+take tens of milliseconds together, but m = 4 grows fast with q (at q = 3
+it did not finish in two minutes), so it is only included with --full.
 """
 
 import argparse

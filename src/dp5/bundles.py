@@ -196,8 +196,9 @@ def _plucker_conditions(a1, a2, a3, a4, f13=None, f24=None, f34=None,
 def plucker_kernel(aprime, dpp):
     """Kernel data of the two divisibility conditions alone (all divisors 0).
 
-    Skips bundle validation: the caller already knows aprime is nonzero and
-    pairwise coprime.  Returns (sizes, offsets, basis vectors).
+    The reference that count._kernel_coords is tested against; it skips
+    bundle validation, so aprime must be nonzero and pairwise coprime.
+    Returns (sizes, offsets, basis vectors).
     """
     a1, a2, a3, a4 = aprime
     ctx = a1.ctx

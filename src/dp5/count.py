@@ -62,45 +62,36 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, DP5Error, NotInEffDual
 from .gf import FieldCtx, field_of_order, prime_power
-from .p1 import BinaryForm, form_from_index, irreducibles, pdeg, pgcd, pmul
+from .p1 import (
+    DEFAULT_BUDGET,
+    BinaryForm,
+    divisor_count,
+    form_from_index,
+    irreducibles,
+    pdeg,
+    pgcd,
+    pmul,
+)
 from .picard import (
     LINES,
     CurveClass,
     chamber_normalize,
     degree_data,
     in_eff_dual,
+    meets,
 )
 
-DEFAULT_BUDGET = 1 << 30
-
-# the thirty disjoint-line pairs, as index pairs into the tuple
-# (a1, a2, a3, a4, a12, a13, a14, a23, a24, a34)
-COORD_NAMES = ("E1", "E2", "E3", "E4", "L12", "L13", "L14", "L23", "L24", "L34")
-_IDX = {name: i for i, name in enumerate(COORD_NAMES)}
+# the ten coordinates (a1, a2, a3, a4, a12, a13, a14, a23, a24, a34), one per
+# line, and the thirty pairs of them indexed by disjoint lines
+COORD_NAMES = LINES
 DISJOINT_PAIRS = tuple(
-    sorted(
-        [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        + [
-            (_IDX[f"E{i}"], _IDX[f"L{j}{k}"])
-            for i in range(1, 5)
-            for j in range(1, 5)
-            for k in range(j + 1, 5)
-            if i not in (j, k)
-        ]
-        + [
-            (_IDX[f"L{a}{b}"], _IDX[f"L{c}{d}"])
-            for a in range(1, 5)
-            for b in range(a + 1, 5)
-            for c in range(1, 5)
-            for d in range(c + 1, 5)
-            if (a, b) < (c, d) and len({a, b} & {c, d}) == 1
-        ]
-    )
+    (i, j) for i, j in combinations(range(10), 2) if not meets(LINES[i], LINES[j])
 )
 
 
@@ -458,26 +449,24 @@ def _root_masks(ctx: FieldCtx, degrees):
     return tables
 
 
-def _count_inner(ctx: FieldCtx, afixed, degs6, vectors, masks=None):
+def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     """Accepted kernel vectors for the fixed quadruple, and the q^dim walked.
 
     vectors is the packed F_p-basis of _kernel_coords; masks is
-    _root_masks(ctx, degs6), built here when None.  A vector is accepted
-    when its six slots are nonzero and share no point with the slots of
-    the other two groups.
+    _root_masks(ctx, degs6).  A vector is accepted when its six slots are
+    nonzero and share no point with the slots of the other two groups.
 
-    The outer forms afixed need no test: let a point divide a_i and a_jk,
+    The outer forms a1..a4 need no test: let a point divide a_i and a_jk,
     i not in {j, k}, and let s be the fourth index.  Relation P_j is
     +-a_i*a_ij +- a_k*a_jk +- a_s*a_js = 0, so the point divides a_s*a_js;
     a_s is coprime to a_i, so it divides a_js, and L_jk, L_js are disjoint
     slots, which the walk rejects.
     """
-    tables = _root_masks(ctx, degs6) if masks is None else masks
     slots = []  # (shift, key mask, table) per slot
     shift = 0
     for d in degs6:
         width = _lane_width(ctx.p) * ctx.e * (d + 1)
-        slots.append((shift, (1 << width) - 1, tables[d]))
+        slots.append((shift, (1 << width) - 1, masks[d]))
         shift += width
     (_, m0, t0), (s1, m1, t1), (s2, m2, t2) = slots[:3]
     (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = slots[3:]
@@ -594,7 +583,7 @@ def _fast_worker(args):
         dim, vectors = _kernel_coords(afixed, dpp, derived)
         if work + q**dim > budget:
             raise BudgetExceeded(f"kernel enumeration exceeded budget {budget}")
-        acc, vecs = _count_inner(ctx, afixed, degs6, vectors, masks)
+        acc, vecs = _count_inner(ctx, degs6, vectors, masks)
         total += acc * size
         work += vecs
         quadruples += size
@@ -627,13 +616,11 @@ def count_fast(
     # each run of k equal degrees d
     est = 1
     for a, b in _runs(degs):
-        est *= comb((q ** (degs[a] + 1) - 1) // (q - 1) + b - a - 1, b - a)
+        est *= comb(divisor_count(q, degs[a]) + b - a - 1, b - a)
     if est > budget:
         raise BudgetExceeded(f"quadruple enumeration needs {est} > budget {budget}")
     if max(degs):
-        tables = q * (q * q - 1) * sum(
-            (q ** (d + 1) - 1) // (q - 1) for d in set(degs)
-        )
+        tables = q * (q * q - 1) * sum(divisor_count(q, d) for d in set(degs))
         if tables > budget:
             raise BudgetExceeded(f"orbit tables need {tables} > budget {budget}")
     # _orbit_reps' outer root-mask tables hold sum q^(d+1) entries: at most

@@ -21,17 +21,6 @@ from .errors import DivisionByZero, DP5Error, NotPrime, TooLarge
 _Q_CAP = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -147,18 +136,14 @@ def prime_power(q: int) -> tuple[int, int]:
         raise NotPrime(f"q = {q} is not a prime power")
     if q > _Q_CAP:
         raise TooLarge(f"q = {q} exceeds cap 2**16")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise NotPrime(f"q = {q} is not a prime power")
+    p = factors[0]
+    e = 0
+    while q > 1:
+        q //= p
+        e += 1
     return p, e
 
 
@@ -176,13 +161,13 @@ class FieldCtx:
     """Arithmetic context for F_q.  Pure value object; no hidden state."""
 
     def __init__(self, p: int, e: int = 1):
-        if not _is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
         if e < 1:
             raise TooLarge(f"extension degree must be >= 1, got {e}")
         q = p**e
         if q > _Q_CAP:
             raise TooLarge(f"q = {q} exceeds cap 2**16")
+        if prime_factors(p) != [p]:
+            raise NotPrime(f"p = {p} is not prime")
         self.p = p
         self.e = e
         self.q = q

@@ -8,9 +8,10 @@ INF = None.  The divisor of a nonzero form is the factorization of its
 dehomogenization f(x, 1) plus (d - deg f(x,1)) times infinity, so degrees are
 additive and div(f*g) = div(f) + div(g) exactly.
 
-Counting here is honest section counting: forms are never deduplicated by
-scalar, because the torsor counts downstream need all (q-1)-multiples; the
-final (q-1)^5 quotient is taken once, at the end of a count.
+form_from_index and enumerate_sections run over every section, scalar
+multiples included; dividing them out is up to the count: count_fast keeps
+monic outer forms, one per PGL2 x Stab orbit, and restores (q-1)^4.  Each
+count takes the (q-1)^5 torus quotient once, at its end.
 """
 
 from __future__ import annotations
@@ -92,9 +93,7 @@ def pgcd(ctx: FieldCtx, a, b):
     """Monic gcd."""
     while b:
         a, b = b, pmod(ctx, a, b)
-    if a and a[-1] != 1:
-        a = pscale(ctx, a, ctx.inv(a[-1]))
-    return a
+    return pmonic(ctx, a)
 
 
 def pmonic(ctx: FieldCtx, a):

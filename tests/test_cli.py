@@ -126,6 +126,9 @@ def test_verify_subcommand(capsys):
     assert main(["verify", "--suite", "identities"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert main(["verify", "--suite", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13 and all(line.startswith("PASS  ") for line in lines)
 
 
 def test_sweep_deterministic_across_workers(tmp_path):

@@ -258,6 +258,7 @@ def _unreduced_m_count(q, alpha):
         _count_inner,
         _kernel_coords,
         _monic_forms,
+        _root_masks,
     )
     from dp5.gf import field_of_order
     from dp5.p1 import pdeg
@@ -268,13 +269,14 @@ def _unreduced_m_count(q, alpha):
     dpp = (dd["L13"], dd["L24"], dd["L34"])
     derived = (dd["L14"], dd["L23"], dd["L12"])
     forms = [_monic_forms(ctx, dd[name]) for name in ("E1", "E2", "E3", "E4")]
+    masks = _root_masks(ctx, dpp + derived)
     total = 0
     for afixed in product(*forms):
         trip = [(f, f.dehom(), pdeg(f.dehom()) < f.d) for f in afixed]
         if not all(_coprime_triples(ctx, a, b) for a, b in combinations(trip, 2)):
             continue
         _, vectors = _kernel_coords(afixed, dpp, derived)
-        acc, _ = _count_inner(ctx, afixed, dpp + derived, vectors)
+        acc, _ = _count_inner(ctx, dpp + derived, vectors, masks)
         total += acc
     return total * (q - 1) ** 4
 

@@ -98,6 +98,18 @@ def test_prime_power_builds_nothing_and_checks_like_field_of_order():
             prime_power(bad)
     with pytest.raises(TooLarge):
         prime_power(1 << 17)
+    # every q up to 4096 against a brute-force set of prime powers
+    primes = [n for n in range(2, 4097) if all(n % d for d in range(2, n))]
+    powers = {p**e: (p, e) for p in primes for e in range(1, 13) if p**e <= 4096}
+    for q in range(4097):
+        if q in powers:
+            assert prime_power(q) == powers[q], q
+        else:
+            with pytest.raises(NotPrime):
+                prime_power(q)
+    for p in set(range(200)) - set(primes):
+        with pytest.raises(NotPrime):
+            FieldCtx(p)
 
 
 def test_field_of_order_is_cached_and_fields_carry_no_hidden_state():

@@ -161,6 +161,20 @@ def test_local_identity_checks_all_pass():
     assert all(v for k, v in checks.items())
 
 
+def test_local_identity_checks_report_a_wrong_exponent(monkeypatch):
+    from dp5 import motivic
+
+    exponent = motivic._pattern_exponent
+
+    def off_by_one(eps):
+        return exponent(eps) + (eps == (1, 1, 1, 1))
+
+    monkeypatch.setattr(motivic, "_pattern_exponent", off_by_one)
+    checks = local_identity_checks()
+    assert checks["pattern16"] is False
+    assert checks["all"] is False
+
+
 def _motivic_constant_by_products(n):
     """The product formula, factor by factor with SeriesL.pow."""
     e = witt_exponents(LOCAL_FACTOR_COEFFS, n)
