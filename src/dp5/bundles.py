@@ -18,6 +18,12 @@ The degree has a closed form d - (d1+d2+d3+d4) - deg(B) with
 B = E1+E2+E3+E4 + [D1;D2;D3] + [D1;D2;D4] + [(D1;D2);D3;D4], where d is the
 pentagon sum d13+d3+d34+d4+d24.  The splitting type (e1,e2,e3) is read off
 the h0 profile: h0(m) = sum_i max(0, e_i+m+1).
+
+build_bundle requires the eight divisors to have pairwise disjoint supports
+and each D_i to miss div(a_j) for j != i.  These preconditions drop terms of
+the Moebius inversion over (D, E) that an exact count of the accepted kernel
+vectors needs, so a sum over the bundles build_bundle accepts is not a
+count; the bundles serve the splitting statistics.
 """
 
 from __future__ import annotations

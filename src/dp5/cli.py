@@ -247,7 +247,7 @@ def _suite_identities() -> dict:
 
 
 def _suite_bundles() -> dict:
-    from .bundles import hn_statistics
+    from .bundles import hn_statistics, sample_bundles
     from .picard import ANTICANONICAL, scale
 
     out = {}
@@ -258,6 +258,11 @@ def _suite_bundles() -> dict:
             es = tuple(int(x) for x in key.split(","))
             ok = ok and es[0] >= es[1] >= es[2]
         out[f"hn_q{q}"] = ok and rep["samples"] == 25
+        # Riemann-Roch on P^1 for a rank-3 bundle: chi = deg + 3
+        out[f"riemann_roch_q{q}"] = all(
+            b.h0(0) - b.h1(0) == b.degree() + 3
+            for b in sample_bundles(q, scale(ANTICANONICAL, 2), 25, seed=7)
+        )
     return out
 
 

@@ -51,10 +51,15 @@ normalised coprime quadruples:
 - sigma commutes with every g, so G is a direct product.
 
 _orbit_reps walks the quadruples with form indices nondecreasing inside each
-block of equal degree and keeps the least member of each G-orbit; count_fast
-deals these representatives round-robin to the workers, and each kernel
-count is weighted by its orbit size.  The walk reads coprimality off root
-masks and composes the PGL2 images of a few generators (see _orbit_images).
+block of equal degree and keeps the least member of each G-orbit.  The walk
+reads coprimality off root masks and composes the PGL2 images of a few
+generators (see _orbit_images).  count_fast then solves the kernel of every
+representative in the calling process, so the summed work, q^dim over all
+kernels, is checked against the budget once, before any kernel is walked.
+The kernels are walked in the calling process unless two or more workers
+are asked for and the work reaches _POOL_MIN_WORK; then a process pool
+walks them, dealt largest q^dim first, each to the least-loaded worker.
+Each kernel count is weighted by its orbit size.
 """
 
 from __future__ import annotations
@@ -110,6 +115,11 @@ class CountResult(NamedTuple):
 
     def ratio(self) -> Fraction:
         return Fraction(self.hom, self.q ** (self.degree + 2))
+
+
+def _check_workers(workers: int):
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _budget(budget: Optional[int]) -> int:
@@ -559,36 +569,53 @@ def _arrangements(t, runs) -> int:
     return n
 
 
-def _fast_worker(args):
-    """Run the kernel count of each G-orbit representative in one shard.
+# a process pool starts only for this many kernel vectors or more: about 50
+# times its start-up and teardown (11.5 ms for two workers, measured on a
+# 2-vCPU x86-64 guest) at the walk rate measured there (0.24-0.62 M
+# vectors/s, 0.45 M typical), so a pool costs about 2 % of the walk it spreads
+_POOL_MIN_WORK = 250_000
 
-    reps is a slice of _orbit_reps.  Returns (total, work, quadruples,
-    orbits): the accepted vectors weighted by orbit size, the kernel vectors
-    enumerated, and the coprime quadruples and PGL2 orbits the shard stands
-    for.
-    """
-    q, pairings, reps, budget = args
+
+def _deal(kernels, shards: int):
+    """The kernels of _solve_kernels in shards, largest q^dim first, each to
+    the least-loaded shard (LPT)."""
+    loads = [0] * shards
+    out = [[] for _ in range(shards)]
+    for kernel in sorted(kernels, key=lambda k: -k[0]):
+        i = loads.index(min(loads))
+        out[i].append(kernel)
+        loads[i] += kernel[0]
+    return out
+
+
+def _solve_kernels(q: int, pairings, reps):
+    """(q^dim, basis, orbit size) for each representative of _orbit_reps,
+    basis the packed F_p-basis of _kernel_coords."""
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
     degs6 = tuple(dd[name] for name in _SLOTS)
-    dpp, derived = degs6[:3], degs6[3:]
-    masks = _root_masks(ctx, degs6)
-    total = 0
-    work = 0
-    quadruples = 0
-    orbits = 0
-    for coeffs, size, pgl2_orbits in reps:
+    kernels = []
+    for coeffs, size, _ in reps:
         afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
-        dim, vectors = _kernel_coords(afixed, dpp, derived)
-        if work + q**dim > budget:
-            raise BudgetExceeded(f"kernel enumeration exceeded budget {budget}")
-        acc, vecs = _count_inner(ctx, degs6, vectors, masks)
-        total += acc * size
-        work += vecs
-        quadruples += size
-        orbits += pgl2_orbits
-    return total, work, quadruples, orbits
+        dim, basis = _kernel_coords(afixed, degs6[:3], degs6[3:])
+        kernels.append((q**dim, basis, size))
+    return kernels
+
+
+def _fast_worker(args):
+    """Walk the kernels of one shard: args is (q, pairings, kernels), kernels
+    as _solve_kernels builds them.  Returns the accepted vectors weighted by
+    orbit size."""
+    q, pairings, kernels = args
+    ctx = field_of_order(q)
+    dd = dict(zip(LINES, pairings))
+    degs6 = tuple(dd[name] for name in _SLOTS)
+    masks = _root_masks(ctx, degs6)
+    return sum(
+        _count_inner(ctx, degs6, basis, masks)[0] * size
+        for _, basis, size in kernels
+    )
 
 
 def count_fast(
@@ -601,8 +628,9 @@ def count_fast(
 
     The class is first moved to the fundamental chamber (the count is
     invariant under the 120 symmetries), so the outer quadruple runs over
-    the smallest degrees available.
+    the smallest degrees available.  Raises ValueError for workers < 1.
     """
+    _check_workers(workers)
     alpha = CurveClass(*alpha)
     if not in_eff_dual(alpha):
         raise NotInEffDual(f"{alpha} pairs negatively with some line")
@@ -630,18 +658,19 @@ def count_fast(
         raise BudgetExceeded(f"root-mask tables need {roots} > budget {budget}")
 
     reps = _orbit_reps(q, pairings)
-    shards = max(1, min(workers, len(reps)))
-    jobs = [(q, pairings, reps[w::shards], budget) for w in range(shards)]
-    if shards == 1:
-        parts = [_fast_worker(jobs[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(_fast_worker, jobs))
-    total, work, quadruples, orbits = (sum(col) for col in zip(*parts))
+    kernels = _solve_kernels(q, pairings, reps)
+    work = sum(k[0] for k in kernels)
     if work > budget:
         raise BudgetExceeded(f"kernel enumeration needs {work} > budget {budget}")
+    shards = min(workers, len(kernels))
+    if shards > 1 and work >= _POOL_MIN_WORK:
+        from concurrent.futures import ProcessPoolExecutor
+
+        jobs = [(q, pairings, shard) for shard in _deal(kernels, shards)]
+        with ProcessPoolExecutor(max_workers=shards) as pool:
+            total = sum(pool.map(_fast_worker, jobs))
+    else:
+        total = _fast_worker((q, pairings, kernels))
     m = total * (q - 1) ** 4
     _check_torus(m, q)
     return CountResult(
@@ -653,8 +682,8 @@ def count_fast(
         m // (q - 1) ** 5,
         "fast",
         work,
-        quadruples,
-        orbits,
+        sum(size for _, size, _ in reps),
+        sum(n for _, _, n in reps),
         len(reps),
     )
 
@@ -682,10 +711,11 @@ def sweep_row(res: CountResult, c) -> dict:
 def sweep(q: int, classes, workers: int = 1, budget: Optional[int] = None):
     """Count every class and compare against the leading constant.
 
-    Returns one sweep_row per class.
+    Returns one sweep_row per class.  Raises ValueError for workers < 1.
     """
     from .constants import leading_constant_direct
 
+    _check_workers(workers)
     c = leading_constant_direct(q)
     return [
         sweep_row(count_fast(q, alpha, workers=workers, budget=budget), c)

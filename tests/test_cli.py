@@ -3,6 +3,7 @@ CSV schema."""
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,7 +129,21 @@ def test_verify_subcommand(capsys):
     assert "PASS" in out and "FAIL" not in out
     assert main(["verify", "--suite", "all"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 13 and all(line.startswith("PASS  ") for line in lines)
+    assert len(lines) == 15 and all(line.startswith("PASS  ") for line in lines)
+
+
+def test_verify_bundles_fails_on_a_wrong_degree(monkeypatch, capsys):
+    from dp5.bundles import CongruenceBundle
+
+    true_degree = CongruenceBundle.degree
+    # one too low keeps splitting_type's search window wide enough, so the
+    # suite reports a failure instead of raising
+    monkeypatch.setattr(CongruenceBundle, "degree",
+                        lambda self: true_degree(self) - 1)
+    assert main(["verify", "--suite", "bundles"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  bundles.riemann_roch_q2" in lines
+    assert "FAIL  bundles.riemann_roch_q3" in lines
 
 
 def test_sweep_deterministic_across_workers(tmp_path):
@@ -147,6 +162,37 @@ def test_sweep_deterministic_across_workers(tmp_path):
     assert rows[0]["hom_count"] == "6"
     # LF line endings, no carriage returns anywhere
     assert b"\r" not in outs[0]
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exit_2(tmp_path, capsys, workers):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("1,0,0,0,0\n")
+    assert main(["count", "--q", "2", "--class", "1,0,0,0,0",
+                 "--workers", workers]) == 2
+    assert main(["sweep", "--q", "2", "--classes", str(classes),
+                 "--workers", workers]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
+def test_small_sweep_starts_no_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    golden = json.loads((Path(__file__).parent / "fixtures" / "golden.json")
+                        .read_text(encoding="utf-8"))
+    hom = {r["class"]: r["hom"] for r in golden["oracle_counts"] if r["q"] == 4}
+    classes = tmp_path / "classes.txt"
+    classes.write_text("".join(text + "\n" for text in hom))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--q", "4", "--classes", str(classes),
+                 "--workers", "2", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {r["class"]: int(r["hom_count"]) for r in rows} == hom
+    assert len(hom) == 3
 
 
 def test_version_flag(capsys):

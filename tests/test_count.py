@@ -213,7 +213,7 @@ def test_torus_check_is_not_an_assert(monkeypatch):
     from dp5.errors import DP5Error
 
     # a total that is not divisible by q - 1 = 2
-    monkeypatch.setattr(count, "_fast_worker", lambda args: (1, 0, 1, 1))
+    monkeypatch.setattr(count, "_fast_worker", lambda args: 1)
     with pytest.raises(DP5Error, match="torus action is not free"):
         count_fast(3, CurveClass(0, 0, 0, 0, 0))
     assert main(["count", "--q", "3", "--class", "0,0,0,0,0"]) == 1
@@ -315,13 +315,80 @@ def test_summed_budget_refuses_shards_that_each_fit():
     pairings = tuple(chamber_normalize(alpha)[2][name] for name in LINES)
     reps = count._orbit_reps(q, pairings)
     # three orbits of 1024 vectors, dealt 2048 + 1024 to two workers
-    shard_work = [count._fast_worker((q, pairings, reps[w::2], 10**9))[1]
-                  for w in (0, 1)]
+    kernels = count._solve_kernels(q, pairings, reps)
+    shard_work = [sum(k[0] for k in shard) for shard in count._deal(kernels, 2)]
     assert shard_work == [2048, 1024]
     for workers in (1, 2):
         with pytest.raises(BudgetExceeded):
             count_fast(q, alpha, workers=workers, budget=3071)
         assert count_fast(q, alpha, workers=workers, budget=3072).work == 3072
+
+
+def test_forced_pool_gives_identical_results(monkeypatch):
+    import concurrent.futures
+
+    from dp5 import count
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(count, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    # six kernels, three kernels, and one kernel, which never needs a pool
+    cases = [(2, scale(ANTICANONICAL, 3)), (4, _cls("2,-2,0,0,0")),
+             (3, _cls("2,-1,-1,-1,0"))]
+    for q, alpha in cases:
+        results = []
+        for workers in (1, 2, 8):
+            del started[:]
+            results.append(count_fast(q, alpha, workers=workers))
+            kernels = results[-1].kernels
+            want = [min(workers, kernels)] if min(workers, kernels) > 1 else []
+            assert started == want, (q, alpha, workers)
+        assert results[0] == results[1] == results[2], (q, alpha)
+
+
+def test_kernels_are_dealt_largest_first():
+    from dp5.count import _deal
+
+    kernels = [(w, None, 1) for w in (1, 9, 1, 3, 4, 1, 5)]
+    shards = _deal(kernels, 3)
+    # loads 9, 8, 7; round-robin would load 1+3+5, 9+4, 1+1
+    assert [[k[0] for k in shard] for shard in shards] == [[9], [5, 1, 1, 1], [4, 3]]
+    assert sorted(kernels) == sorted(k for shard in shards for k in shard)
+
+
+def test_kernel_budget_is_checked_before_any_walk(monkeypatch):
+    from dp5 import count
+
+    def refuse(*args):
+        raise AssertionError("a kernel was walked")
+
+    # three kernels of 1024 vectors; one of 2048, whose up-front estimates
+    # stay below its work
+    for q, alpha in ((4, _cls("2,-2,0,0,0")), (2, _cls("8,-2,-2,-2,-2"))):
+        work = count_fast(q, alpha).work
+        monkeypatch.setattr(count, "_count_inner", refuse)
+        monkeypatch.setattr(count, "_POOL_MIN_WORK", 0)
+        messages = set()
+        for workers in (1, 2, 8):
+            with pytest.raises(BudgetExceeded) as err:
+                count_fast(q, alpha, workers=workers, budget=work - 1)
+            messages.add(str(err.value))
+        assert messages == {f"kernel enumeration needs {work} > budget {work - 1}"}
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_workers_below_one_are_refused(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        count_fast(2, _cls("1,0,0,0,0"), workers=workers)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        sweep(2, [_cls("1,0,0,0,0")], workers=workers)
 
 
 def test_fields_beyond_the_golden_file():
