@@ -394,6 +394,9 @@ def build_bundle(aprime, dpp, D=None, E=None) -> CongruenceBundle:
 
 # -- seeded sampling diagnostics ----------------------------------------------
 
+# draws sample_bundles may make over all its samples before it gives up
+_ATTEMPT_BUDGET = 200_000
+
 
 def _squarefree_pool(ctx: FieldCtx):
     """All squarefree divisors of degree <= 2 (including zero)."""
@@ -424,8 +427,7 @@ def _small_subdivisors(dv: Divisor):
     return out
 
 
-def sample_bundles(q, alpha: CurveClass, samples: int, seed: int,
-                   attempt_budget: int = 200_000):
+def sample_bundles(q, alpha: CurveClass, samples: int, seed: int):
     """Yield `samples` seeded random bundles with the degrees of `alpha`.
 
     Draws a' uniformly from nonzero pairwise-coprime tuples by rejection,
@@ -444,7 +446,7 @@ def sample_bundles(q, alpha: CurveClass, samples: int, seed: int,
         rng = random.Random(f"{seed}:{i}")
         while True:
             attempts += 1
-            if attempts > attempt_budget:
+            if attempts > _ATTEMPT_BUDGET:
                 raise BudgetExceeded(
                     f"{attempts} draws without {samples} valid samples"
                 )
@@ -491,8 +493,7 @@ def sample_bundles(q, alpha: CurveClass, samples: int, seed: int,
         yield bundle
 
 
-def hn_statistics(q, alpha: CurveClass, samples: int, seed: int,
-                  attempt_budget: int = 200_000) -> dict:
+def hn_statistics(q, alpha: CurveClass, samples: int, seed: int) -> dict:
     """Splitting-type statistics over `sample_bundles`, keyed for JSON."""
     report = {
         "q": q,
@@ -511,7 +512,7 @@ def hn_statistics(q, alpha: CurveClass, samples: int, seed: int,
         return report
     h1pos = 0
     excess, splits, degs = {}, {}, {}
-    for bundle in sample_bundles(q, alpha, samples, seed, attempt_budget):
+    for bundle in sample_bundles(q, alpha, samples, seed):
         st = bundle.splitting_type()
         deg = bundle.degree()
         if bundle.h1() > 0:

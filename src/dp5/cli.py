@@ -4,17 +4,19 @@ Subcommands: count, constant, motivic, chamber, verify, sweep.  Each run can
 persist a RunRecord: a JSON document with the command, the full parameter
 echo, the tool version, and a results payload.  Payloads are deterministic
 (identical flags give identical payload bytes, whatever the worker count);
-timestamps and wall times live outside the payload.
+timestamps and wall times live outside the payload.  Every cmd_* returns
+(exit code, params, payload); main times it, writes its RunRecord and maps
+exceptions to exit codes.
 
-Exit codes: 0 success, 1 internal error, 2 invalid class or flags,
-3 budget exceeded, 4 certified methods disagree.
+Exit codes: 0 success, 1 internal error, 2 invalid input (a bad class or
+flag, or a malformed or impossible curve file), 3 budget exceeded,
+4 certified methods disagree.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -22,17 +24,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    BudgetExceeded,
-    DegenerateK,
-    Diverges,
-    DP5Error,
-    InconsistentPairings,
-    NotInEffDual,
-    NotPrime,
-    TargetUnreachable,
-    TooLarge,
-)
+from .count import SWEEP_COLUMNS, count_fast, count_naive, sweep, sweep_row
+from .errors import BudgetExceeded, DP5Error
 from .picard import (
     LINES,
     CurveClass,
@@ -41,8 +34,6 @@ from .picard import (
     chamber_normalize,
     pairings_to_class,
 )
-
-SWEEP_COLUMNS = ("class", "d", "d1", "hom_count", "ratio", "c_mid", "c_rad", "rel_err")
 
 
 def _parse_class(text: str) -> CurveClass:
@@ -88,17 +79,20 @@ def _write_record(path: str, command: str, params: dict, payload: dict, t0: floa
         fh.write("\n")
 
 
+def _write_csv(fh, rows) -> None:
+    w = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
+
+
 def _class_arg(args) -> CurveClass:
     if bool(args.cls) == bool(args.pairings):
         raise ValueError("give exactly one of --class or --pairings")
     return _parse_pairings(args.pairings) if args.pairings else _parse_class(args.cls)
 
 
-def cmd_count(args) -> int:
-    from .count import count_fast, count_naive, sweep_row
-
+def cmd_count(args) -> tuple[int, dict, dict]:
     alpha = _class_arg(args)
-    t0 = time.time()
     if args.method == "naive":
         res = count_naive(args.q, alpha, budget=args.budget)
     else:
@@ -124,17 +118,10 @@ def cmd_count(args) -> int:
     if args.format == "csv":
         from .constants import leading_constant_direct
 
-        row = sweep_row(res, leading_constant_direct(args.q))
-        w = csv.DictWriter(
-            sys.stdout, fieldnames=SWEEP_COLUMNS, lineterminator="\n"
-        )
-        w.writeheader()
-        w.writerow(row)
-    if args.out:
-        params = {"q": args.q, "class": list(alpha), "method": args.method,
-                  "workers": args.workers, "budget": args.budget}
-        _write_record(args.out, "count", params, payload, t0)
-    return 0
+        _write_csv(sys.stdout, [sweep_row(res, leading_constant_direct(args.q))])
+    params = {"q": args.q, "class": list(alpha), "method": args.method,
+              "workers": args.workers, "budget": args.budget}
+    return 0, params, payload
 
 
 def _load_curve(source: str, q: int):
@@ -144,21 +131,24 @@ def _load_curve(source: str, q: int):
         return None
     with open(source, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"curve file {source} must hold a JSON object, "
+                         f"not a {type(data).__name__}")
     try:
         cq, g, weil = data["q"], data["g"], data["weil"]
     except KeyError as ex:
         raise ValueError(f"curve file {source} has no {ex} key") from None
+    curve = curve_from_weil(cq, g, weil)
     if cq != q:
         raise ValueError(f"curve file is over F_{cq}, not F_{q}")
-    return curve_from_weil(cq, g, weil)
+    return curve
 
 
-def cmd_constant(args) -> int:
+def cmd_constant(args) -> tuple[int, dict, dict]:
     from .constants import leading_constant_direct, leading_constant_zeta
 
     curve = _load_curve(args.curve, args.q)
     target = Fraction(args.prec)
-    t0 = time.time()
     out = {}
     if args.method in ("direct", "both"):
         out["direct"] = leading_constant_direct(args.q, curve=curve, target_radius=target)
@@ -170,30 +160,26 @@ def cmd_constant(args) -> int:
         name: {"mid": _exact(c.mid), "rad": _exact(c.rad), "float": float(c.mid)}
         for name, c in out.items()
     }
-    if args.out:
-        params = {"q": args.q, "curve": args.curve, "prec": args.prec,
-                  "method": args.method}
-        _write_record(args.out, "constant", params, payload, t0)
+    params = {"q": args.q, "curve": args.curve, "prec": args.prec,
+              "method": args.method}
     if args.method == "both":
-        gap = abs(out["direct"].mid - out["zeta"].mid)
-        allowed = out["direct"].rad + out["zeta"].rad
-        if gap > allowed:
-            print(
-                f"DISAGREE: |direct - zeta| = {float(gap):.3e} exceeds "
-                f"summed radii {float(allowed):.3e}"
-            )
-            return 4
-        print(f"overlap ok: |direct - zeta| = {float(gap):.3e} <= {float(allowed):.3e}")
-    return 0
+        direct, zeta = out["direct"], out["zeta"]
+        gap = float(abs(direct.mid - zeta.mid))
+        allowed = float(direct.rad + zeta.rad)
+        if not direct.overlaps(zeta):
+            print(f"DISAGREE: |direct - zeta| = {gap:.3e} exceeds "
+                  f"summed radii {allowed:.3e}")
+            return 4, params, payload
+        print(f"overlap ok: |direct - zeta| = {gap:.3e} <= {allowed:.3e}")
+    return 0, params, payload
 
 
-def cmd_motivic(args) -> int:
+def cmd_motivic(args) -> tuple[int, dict, dict]:
     from .motivic import motivic_constant
 
     q = args.specialize
     if q is not None and q < 2:
         raise ValueError(f"--specialize needs Q >= 2, got {q}")
-    t0 = time.time()
     s = motivic_constant(args.trunc)
     print(s)
     payload = {"trunc": args.trunc, "coeffs": list(s.coeffs)}
@@ -202,13 +188,10 @@ def cmd_motivic(args) -> int:
         payload["specialize_q"] = q
         payload["value"] = _exact(val)
         print(f"at u = 1/{q}: {payload['value']} ~ {float(val)!r}")
-    if args.out:
-        params = {"trunc": args.trunc, "specialize": args.specialize}
-        _write_record(args.out, "motivic", params, payload, t0)
-    return 0
+    return 0, {"trunc": args.trunc, "specialize": q}, payload
 
 
-def cmd_chamber(args) -> int:
+def cmd_chamber(args) -> tuple[int, dict, dict]:
     alpha = _class_arg(args)
     frame, perm, dd = chamber_normalize(alpha)
     print(f"class: {tuple(alpha)}")
@@ -217,7 +200,7 @@ def cmd_chamber(args) -> int:
           f"{','.join(str(dd[name]) for name in LINES)}")
     print(f"chamber coords: {chamber_coords(dd)}")
     print(f"boundary distance d1 = {boundary_distance(alpha)}")
-    return 0
+    return 0, {}, {}
 
 
 def _suite_identities() -> dict:
@@ -247,27 +230,24 @@ def _suite_identities() -> dict:
 
 
 def _suite_bundles() -> dict:
-    from .bundles import hn_statistics, sample_bundles
+    from .bundles import sample_bundles
     from .picard import ANTICANONICAL, scale
 
     out = {}
     for q in (2, 3):
-        rep = hn_statistics(q, scale(ANTICANONICAL, 2), samples=25, seed=7)
-        ok = True
-        for key, cnt in rep["splitting"].items():
-            es = tuple(int(x) for x in key.split(","))
-            ok = ok and es[0] >= es[1] >= es[2]
-        out[f"hn_q{q}"] = ok and rep["samples"] == 25
+        bundles = list(sample_bundles(q, scale(ANTICANONICAL, 2), 25, seed=7))
+        types = [b.splitting_type() for b in bundles]
+        out[f"hn_q{q}"] = len(bundles) == 25 and all(
+            st.e1 >= st.e2 >= st.e3 for st in types
+        )
         # Riemann-Roch on P^1 for a rank-3 bundle: chi = deg + 3
         out[f"riemann_roch_q{q}"] = all(
-            b.h0(0) - b.h1(0) == b.degree() + 3
-            for b in sample_bundles(q, scale(ANTICANONICAL, 2), 25, seed=7)
+            b.h0(0) - b.h1(0) == b.degree() + 3 for b in bundles
         )
     return out
 
 
 def _suite_counts() -> dict:
-    from .count import count_fast, count_naive
     from .picard import apply_symmetry, symmetries, torsor_open_count
 
     out = {}
@@ -288,7 +268,7 @@ def _suite_counts() -> dict:
     return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict, dict]:
     suites = {
         "identities": _suite_identities,
         "bundles": _suite_bundles,
@@ -300,7 +280,7 @@ def cmd_verify(args) -> int:
         for check, passed in suites[name]().items():
             print(f"{'PASS' if passed else 'FAIL'}  {name}.{check}")
             ok = ok and passed
-    return 0 if ok else 1
+    return (0 if ok else 1), {}, {}
 
 
 def _read_classes(path: str):
@@ -313,29 +293,17 @@ def _read_classes(path: str):
     return out
 
 
-def cmd_sweep(args) -> int:
-    from .count import sweep
-
+def cmd_sweep(args) -> tuple[int, dict, dict]:
     classes = _read_classes(args.classes)
-    t0 = time.time()
     rows = sweep(args.q, classes, workers=args.workers, budget=args.budget)
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-    w.writeheader()
-    for row in rows:
-        w.writerow({c: repr(row[c]) if isinstance(row[c], float) else row[c]
-                    for c in SWEEP_COLUMNS})
-    body = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
+            _write_csv(fh, rows)
     else:
-        sys.stdout.write(body)
-    if args.record:
-        params = {"q": args.q, "classes": [",".join(map(str, c)) for c in classes],
-                  "workers": args.workers, "budget": args.budget}
-        _write_record(args.record, "sweep", params, {"rows": rows}, t0)
-    return 0
+        _write_csv(sys.stdout, rows)
+    params = {"q": args.q, "classes": [",".join(map(str, c)) for c in classes],
+              "workers": args.workers, "budget": args.budget}
+    return 0, params, {"rows": rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,34 +311,40 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"dp5 {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    pc = sub.add_parser("count", help="count morphisms of one class")
-    pc.add_argument("--q", type=int, required=True)
-    pc.add_argument("--class", dest="cls", help="a,c1,c2,c3,c4")
-    pc.add_argument("--pairings", help=",".join(LINES))
+    # option groups shared by several subcommands
+    by_class = argparse.ArgumentParser(add_help=False)
+    by_class.add_argument("--class", dest="cls", help="a,c1,c2,c3,c4")
+    by_class.add_argument("--pairings", help=",".join(LINES))
+    counting = argparse.ArgumentParser(add_help=False)
+    counting.add_argument("--q", type=int, required=True)
+    counting.add_argument("--workers", type=int, default=1)
+    counting.add_argument("--budget", type=int, default=None)
+    recorded = argparse.ArgumentParser(add_help=False)
+    recorded.add_argument("--out", dest="record", metavar="OUT",
+                          help="write a RunRecord JSON here")
+
+    pc = sub.add_parser("count", parents=[counting, by_class, recorded],
+                        help="count morphisms of one class")
     pc.add_argument("--method", choices=("naive", "fast"), default="fast")
-    pc.add_argument("--workers", type=int, default=1)
-    pc.add_argument("--budget", type=int, default=None)
-    pc.add_argument("--out", help="write a RunRecord JSON here")
     pc.add_argument("--format", choices=("json", "csv"), default="json")
     pc.set_defaults(func=cmd_count)
 
-    pk = sub.add_parser("constant", help="certified leading constant")
+    pk = sub.add_parser("constant", parents=[recorded],
+                        help="certified leading constant")
     pk.add_argument("--q", type=int, required=True)
     pk.add_argument("--curve", default="p1", help='"p1" or a curve JSON file')
     pk.add_argument("--prec", default="1e-13")
     pk.add_argument("--method", choices=("direct", "zeta", "both"), default="both")
-    pk.add_argument("--out")
     pk.set_defaults(func=cmd_constant)
 
-    pm = sub.add_parser("motivic", help="motivic constant as a series in u")
+    pm = sub.add_parser("motivic", parents=[recorded],
+                        help="motivic constant as a series in u")
     pm.add_argument("--trunc", type=int, required=True)
     pm.add_argument("--specialize", type=int, default=None, metavar="Q")
-    pm.add_argument("--out")
     pm.set_defaults(func=cmd_motivic)
 
-    ph = sub.add_parser("chamber", help="normalize a class into the chamber")
-    ph.add_argument("--class", dest="cls")
-    ph.add_argument("--pairings")
+    ph = sub.add_parser("chamber", parents=[by_class],
+                        help="normalize a class into the chamber")
     ph.set_defaults(func=cmd_chamber)
 
     pv = sub.add_parser("verify", help="run invariant suites")
@@ -378,11 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="all")
     pv.set_defaults(func=cmd_verify)
 
-    ps = sub.add_parser("sweep", help="count many classes, compare to the constant")
-    ps.add_argument("--q", type=int, required=True)
+    ps = sub.add_parser("sweep", parents=[counting],
+                        help="count many classes, compare to the constant")
     ps.add_argument("--classes", required=True, help="file, one a,c1..c4 per line")
-    ps.add_argument("--workers", type=int, default=1)
-    ps.add_argument("--budget", type=int, default=None)
     ps.add_argument("--out", help="CSV path (stdout if absent)")
     ps.add_argument("--record", help="write a RunRecord JSON here")
     ps.set_defaults(func=cmd_sweep)
@@ -391,16 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        code, params, payload = args.func(args)
+        if getattr(args, "record", None):
+            _write_record(args.record, args.cmd, params, payload, t0)
+        return code
     except BudgetExceeded as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return 3
-    except (NotInEffDual, InconsistentPairings, NotPrime, TooLarge, Diverges,
-            DegenerateK, TargetUnreachable, ValueError, OSError) as ex:
+    except (ValueError, OSError) as ex:
         print(f"invalid input: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 2
-    except (DP5Error, AssertionError) as ex:
+    except DP5Error as ex:
         print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return 1
 

@@ -158,12 +158,19 @@ class CurveZeta:
 
     weil lists the coefficients of P(T) = prod (1 - alpha_i T) from the
     constant term up; the zeta function is P(T)/((1-T)(1-qT)) and the class
-    number is h = P(1).
+    number is h = P(1).  q, g and the coefficients must be ints (not bools);
+    anything else raises ValueError.
     """
 
     def __init__(self, q: int, g: int, weil: Sequence[int]):
+        if not isinstance(weil, (list, tuple)):
+            raise ValueError(f"weil must be a list of ints, got {weil!r}")
+        named = [("q", q), ("g", g)] + [(f"weil[{j}]", c) for j, c in enumerate(weil)]
+        for name, v in named:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an int, got {v!r}")
         prime_power(q)
-        weil = tuple(int(c) for c in weil)
+        weil = tuple(weil)
         if g < 0 or len(weil) != 2 * g + 1:
             raise ValueError("weil polynomial must have degree exactly 2g")
         if weil[0] != 1:

@@ -691,21 +691,24 @@ def count_fast(
 # -- sweeps --------------------------------------------------------------------
 
 
+SWEEP_COLUMNS = ("class", "d", "d1", "hom_count", "ratio", "c_mid", "c_rad", "rel_err")
+
+
 def sweep_row(res: CountResult, c) -> dict:
-    """One sweep row: the class, its degree and boundary distance, the
-    morphism count, the ratio hom/q^(d+2), and the certified constant c with
-    the relative error of the ratio against it."""
+    """One sweep row, keyed by SWEEP_COLUMNS: the class, its degree and
+    boundary distance, the morphism count, the ratio hom/q^(d+2), and the
+    certified constant c with the relative error of the ratio against it."""
     ratio = res.ratio()
-    return {
-        "class": ",".join(str(x) for x in res.alpha),
-        "d": res.degree,
-        "d1": min(res.pairings),
-        "hom_count": res.hom,
-        "ratio": float(ratio),
-        "c_mid": float(c.mid),
-        "c_rad": float(c.rad),
-        "rel_err": float(abs(ratio - c.mid) / c.mid),
-    }
+    return dict(zip(SWEEP_COLUMNS, (
+        ",".join(str(x) for x in res.alpha),
+        res.degree,
+        min(res.pairings),
+        res.hom,
+        float(ratio),
+        float(c.mid),
+        float(c.rad),
+        float(abs(ratio - c.mid) / c.mid),
+    )))
 
 
 def sweep(q: int, classes, workers: int = 1, budget: Optional[int] = None):

@@ -129,10 +129,6 @@ class Divisor:
         self._m = m
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def point(cls, pt, mult: int = 1):
         return cls({pt: mult})
 

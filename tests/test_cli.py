@@ -297,3 +297,62 @@ def test_motivic_specialize_rejects_q_below_two(capsys):
         assert "--specialize" in capsys.readouterr().err
     assert main(["motivic", "--trunc", "5", "--specialize", "2"]) == 0
     assert "at u = 1/2:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"q": 7, "g": 1, "weil": [1.9, 0.5, "7"]}, "weil[0]"),
+    ({"q": "7", "g": 1, "weil": [1, 0, 7]}, "q must be an int"),
+    ({"q": 7, "g": "1", "weil": [1, 0, 7]}, "g must be an int"),
+    ({"q": 7, "g": 1, "weil": 5}, "weil must be a list"),
+    ([7, 1, [1, 0, 7]], "JSON object"),
+    ({"q": 2, "g": 1, "weil": [1, -4, 2]}, "class number -1"),
+    ({"q": 5, "g": 2, "weil": [1, 9, 30, 45, 25]}, "closed point count -10/2"),
+], ids=["float-weil", "string-q", "string-g", "int-weil", "top-level-list",
+        "class-number", "closed-points"])
+def test_bad_curve_file_exits_2(tmp_path, capsys, data, field):
+    f = tmp_path / "curve.json"
+    f.write_text(json.dumps(data))
+    q = str(data["q"]) if isinstance(data, dict) else "7"
+    assert main(["constant", "--q", q, "--curve", str(f),
+                 "--method", "direct"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input" in captured.err and field in captured.err
+
+
+def _exit_code_table():
+    from dp5 import errors
+
+    bad_input = (errors.NotPrime, errors.TooLarge, errors.NotInEffDual,
+                 errors.InconsistentPairings, errors.NegativePointCount,
+                 errors.TargetUnreachable, errors.Diverges, errors.DegenerateK,
+                 errors.TruncationMismatch)
+    internal = (errors.DP5Error, errors.DivisionByZero, errors.ZeroForm,
+                errors.PreconditionViolated, errors.InconsistentH0,
+                errors.NonExactDivision, errors.NonUnit)
+    return ([(cls, 2) for cls in bad_input] + [(errors.BudgetExceeded, 3)]
+            + [(cls, 1) for cls in internal])
+
+
+_EXIT_CODES = _exit_code_table()
+
+
+@pytest.mark.parametrize("exc, code", _EXIT_CODES,
+                         ids=[cls.__name__ for cls, _ in _EXIT_CODES])
+def test_exit_code_map(monkeypatch, capsys, exc, code):
+    from dp5 import cli
+
+    def fail(alpha):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli, "chamber_normalize", fail)
+    assert main(["chamber", "--class", "1,0,0,0,0"]) == code
+    assert capsys.readouterr().err.endswith("planted\n")
+
+
+def test_exit_code_map_names_every_error_class():
+    from dp5 import errors
+
+    declared = {v for v in vars(errors).values()
+                if isinstance(v, type) and issubclass(v, Exception)}
+    assert declared == {cls for cls, _ in _EXIT_CODES}
