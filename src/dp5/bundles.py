@@ -24,15 +24,21 @@ and each D_i to miss div(a_j) for j != i.  These preconditions drop terms of
 the Moebius inversion over (D, E) that an exact count of the accepted kernel
 vectors needs, so a sum over the bundles build_bundle accepts is not a
 count; the bundles serve the splitting statistics.
+
+plucker_kernel is the bundle with all eight divisors zero, read at twist 0:
+the two divisibility conditions alone, on a validated quadruple a'.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, DP5Error, InconsistentH0, PreconditionViolated
+from .errors import (
+    BudgetExceeded, DP5Error, InconsistentH0, NotInEffDual, PreconditionViolated,
+)
 from .gf import FieldCtx, field_of_order
 from .p1 import (
     INF,
@@ -50,9 +56,11 @@ from .p1 import (
     pstrip,
 )
 from .picard import CurveClass, degree_data, in_eff_dual
-from .errors import NotInEffDual
 
 _ZERO4 = (Divisor(), Divisor(), Divisor(), Divisor())
+
+# most section triples CongruenceBundle.sections will list
+_SECTIONS_BUDGET = 1 << 20
 
 
 # -- linear algebra over F_q --------------------------------------------------
@@ -123,7 +131,13 @@ class _Condition(NamedTuple):
 
 
 def _twist_rows(ctx: FieldCtx, conds, dpp, m: int):
-    """Matrix of all conditions on coefficient vectors at twist m."""
+    """Matrix of all conditions on coefficient vectors at twist m.
+
+    Column offs[b] + j is the unknown coefficient of X^j in block b.  Each
+    term fills it with w = sign * X^j * multiplier, a form of degree dw: the
+    residue of w mod zf in the finite rows, its top zinf coefficients in the
+    infinity rows.
+    """
     sizes = [max(0, dpp[b] + m + 1) for b in range(3)]
     offs = [0, sizes[0], sizes[0] + sizes[1]]
     ncols = sum(sizes)
@@ -136,61 +150,39 @@ def _twist_rows(ctx: FieldCtx, conds, dpp, m: int):
             raise DP5Error(f"condition terms disagree in degree at twist {m}")
         if dw < 0:
             continue
-        degm = pdeg(zf)
-        if degm > 0:
-            cols = {}
-            for b, mc, md, sgn in terms:
-                if sizes[b] == 0:
-                    continue
-                res = []
-                r = pmod(ctx, pstrip(mc), zf)
-                for _ in range(sizes[b]):
-                    res.append(r)
-                    r = pmod(ctx, pmul(ctx, r, (0, 1)), zf)
-                cols[(b, sgn)] = res
-            for i in range(degm):
-                row = [0] * ncols
-                for (b, sgn), res in cols.items():
-                    for j, r in enumerate(res):
-                        v = r[i] if i < len(r) else 0
-                        if v:
-                            if sgn < 0:
-                                v = ctx.neg(v)
-                            row[offs[b] + j] = ctx.add(row[offs[b] + j], v)
-                rows.append(row)
-        for i in range(max(0, dw - zinf + 1), dw + 1):
-            row = [0] * ncols
-            for b, mc, md, sgn in terms:
-                for j in range(sizes[b]):
-                    k = i - j
-                    if 0 <= k <= md and mc[k]:
-                        v = mc[k] if sgn > 0 else ctx.neg(mc[k])
+        degm, lo = pdeg(zf), max(0, dw - zinf + 1)
+        block = [[0] * ncols for _ in range(degm + dw + 1 - lo)]
+        for b, mc, md, sgn in terms:
+            signed = mc if sgn > 0 else tuple(ctx.neg(c) for c in mc)
+            for j in range(sizes[b]):
+                w = (0,) * j + signed + (0,) * (sizes[b] - 1 - j)
+                res = pmod(ctx, w, zf)
+                col = res + (0,) * (degm - len(res)) + w[lo:]
+                for row, v in zip(block, col):
+                    if v:
                         row[offs[b] + j] = ctx.add(row[offs[b] + j], v)
-            rows.append(row)
+        rows.extend(block)
     return sizes, offs, ncols, rows
 
 
-def _plucker_conditions(a1, a2, a3, a4, f13=None, f24=None, f34=None,
-                        f14=None, f23=None):
-    """The five conditions; F divisors default to zero."""
+def _plucker_conditions(aprime, F):
+    """The five conditions of a' = (a1, a2, a3, a4) and the F_ij divisors."""
+    a1, a2, a3, a4 = aprime
     ctx = a1.ctx
-    zero = Divisor()
-    f13, f24, f34 = f13 or zero, f24 or zero, f34 or zero
-    f14, f23 = f14 or zero, f23 or zero
     conds = []
-    for block, f in ((0, f13), (1, f24), (2, f34)):
+    for block, f in ((0, F[(1, 3)]), (1, F[(2, 4)]), (2, F[(3, 4)])):
         if not f.is_zero():
             zf, zi = _modulus_of(ctx, f)
             conds.append(_Condition(zf, zi, ((block, (1,), 0, 1),)))
     # div(a1) + F14 <= div(a3*a34 - a2*a24)
-    zf, zi = _modulus_of(ctx, f14)
+    zf, zi = _modulus_of(ctx, F[(1, 4)])
     conds.append(_Condition(
         pmul(ctx, pstrip(a1.coeffs), zf),
         a1.inf_order() + zi,
         ((2, a3.coeffs, a3.d, 1), (1, a2.coeffs, a2.d, -1)),
     ))
     # div(a2) + F23 <= div(a4*a34 + a1*a13)
-    zf, zi = _modulus_of(ctx, f23)
+    zf, zi = _modulus_of(ctx, F[(2, 3)])
     conds.append(_Condition(
         pmul(ctx, pstrip(a2.coeffs), zf),
         a2.inf_order() + zi,
@@ -200,17 +192,10 @@ def _plucker_conditions(a1, a2, a3, a4, f13=None, f24=None, f34=None,
 
 
 def plucker_kernel(aprime, dpp):
-    """Kernel data of the two divisibility conditions alone (all divisors 0).
-
-    The reference that count._kernel_coords is tested against; it skips
-    bundle validation, so aprime must be nonzero and pairwise coprime.
-    Returns (sizes, offsets, basis vectors).
-    """
-    a1, a2, a3, a4 = aprime
-    ctx = a1.ctx
-    conds = _plucker_conditions(a1, a2, a3, a4)
-    sizes, offs, ncols, rows = _twist_rows(ctx, conds, dpp, 0)
-    return sizes, offs, nullspace(ctx, rows, ncols)
+    """(sizes, offsets, kernel basis) of the two divisibility conditions
+    alone: the bundle with all divisors zero at twist 0, a' validated.  The
+    reference that count._kernel_coords is tested against."""
+    return build_bundle(aprime, dpp).sections_basis(0)
 
 
 # -- the bundle ----------------------------------------------------------------
@@ -235,15 +220,13 @@ def _check_support_point(pt, ctx, label):
 class CongruenceBundle:
     """Immutable handle; twisted-section queries are pure linear algebra."""
 
-    def __init__(self, aprime, dpp, D, E, divs, F, conds):
+    def __init__(self, aprime, dpp, D, E, conds):
         self.aprime = aprime
         self.ctx = aprime[0].ctx
         self.dprime = tuple(f.d for f in aprime)
         self.dpp = tuple(dpp)
         self.D = D
         self.E = E
-        self.adivs = divs
-        self.F = F
         self._conds = conds
         self._h0_cache = {}
 
@@ -258,12 +241,14 @@ class CongruenceBundle:
         sizes, offs, ncols, rows = _twist_rows(self.ctx, self._conds, self.dpp, m)
         return sizes, offs, nullspace(self.ctx, rows, ncols)
 
-    def sections(self, m: int, budget: int = 1 << 20):
+    def sections(self, m: int):
         """All section triples at twist m (small spaces only)."""
         ctx = self.ctx
         sizes, offs, basis = self.sections_basis(m)
-        if ctx.q ** len(basis) > budget:
-            raise BudgetExceeded(f"q^{len(basis)} sections exceed budget {budget}")
+        if ctx.q ** len(basis) > _SECTIONS_BUDGET:
+            raise BudgetExceeded(
+                f"q^{len(basis)} sections exceed budget {_SECTIONS_BUDGET}"
+            )
         d13, d24, d34 = (d + m for d in self.dpp)
         vecs = [[0] * sum(sizes)]
         for bv in basis:
@@ -384,12 +369,7 @@ def build_bundle(aprime, dpp, D=None, E=None) -> CongruenceBundle:
         return D[i - 1].lcm(D[j - 1]) + E[k - 1] + E[l - 1]
 
     F = {(i, j): F_of(i, j) for i in (1, 2, 3) for j in range(i + 1, 5)}
-    conds = _plucker_conditions(
-        *aprime,
-        f13=F[(1, 3)], f24=F[(2, 4)], f34=F[(3, 4)],
-        f14=F[(1, 4)], f23=F[(2, 3)],
-    )
-    return CongruenceBundle(aprime, dpp, D, E, divs, F, conds)
+    return CongruenceBundle(aprime, dpp, D, E, _plucker_conditions(aprime, F))
 
 
 # -- seeded sampling diagnostics ----------------------------------------------
@@ -432,7 +412,8 @@ def sample_bundles(q, alpha: CurveClass, samples: int, seed: int):
 
     Draws a' uniformly from nonzero pairwise-coprime tuples by rejection,
     D_i from squarefree divisors of degree <= 2, E_i from such subdivisors
-    of div(a_i); precondition failures are redrawn.  Deterministic by seed.
+    of div(a_i), each disjoint from what it must miss, so every draw meets
+    build_bundle's preconditions.  Deterministic by seed.
     """
     if not in_eff_dual(alpha):
         raise NotInEffDual(f"{alpha} is not in the dual of the effective cone")
@@ -454,62 +435,38 @@ def sample_bundles(q, alpha: CurveClass, samples: int, seed: int):
                 form_from_index(ctx, d, rng.randrange(1, ctx.q ** (d + 1)))
                 for d in dprime
             )
-            if not all(
-                forms_coprime(forms[a], forms[b])
-                for a in range(4)
-                for b in range(a + 1, 4)
-            ):
-                continue
-            # draw each divisor from its allowed set (never empty: 0 qualifies)
-            adivs = [divisor_of(f) for f in forms]
-            used = Divisor()
-            Dv = []
-            for k in range(4):
-                others = Divisor()
-                for j in range(4):
-                    if j != k:
-                        others = others.lcm(adivs[j])
-                choices = [
-                    dv for dv in pool
-                    if dv.disjoint(others) and dv.disjoint(used)
-                ]
-                pick = rng.choice(choices)
-                Dv.append(pick)
-                used = used.lcm(pick)
-            Ev = []
-            for k in range(4):
-                choices = [
-                    dv for dv in _small_subdivisors(adivs[k])
-                    if dv.disjoint(used)
-                ]
-                pick = rng.choice(choices)
-                Ev.append(pick)
-                used = used.lcm(pick)
-            try:
-                bundle = build_bundle(forms, dpp, tuple(Dv), tuple(Ev))
-            except PreconditionViolated:
-                continue
-            break
-        yield bundle
+            if all(forms_coprime(f, g) for f, g in combinations(forms, 2)):
+                break
+        # draw each divisor from its allowed set (never empty: 0 qualifies)
+        adivs = [divisor_of(f) for f in forms]
+        used = Divisor()
+        Dv = []
+        for k in range(4):
+            others = Divisor()
+            for j in range(4):
+                if j != k:
+                    others = others.lcm(adivs[j])
+            choices = [
+                dv for dv in pool
+                if dv.disjoint(others) and dv.disjoint(used)
+            ]
+            pick = rng.choice(choices)
+            Dv.append(pick)
+            used = used.lcm(pick)
+        Ev = []
+        for k in range(4):
+            choices = [
+                dv for dv in _small_subdivisors(adivs[k])
+                if dv.disjoint(used)
+            ]
+            pick = rng.choice(choices)
+            Ev.append(pick)
+            used = used.lcm(pick)
+        yield build_bundle(forms, dpp, tuple(Dv), tuple(Ev))
 
 
 def hn_statistics(q, alpha: CurveClass, samples: int, seed: int) -> dict:
     """Splitting-type statistics over `sample_bundles`, keyed for JSON."""
-    report = {
-        "q": q,
-        "class": list(alpha),
-        "samples": samples,
-        "seed": seed,
-        "h1_positive": 0,
-        "h1_positive_fraction": "0",
-        "excess_e1": {},
-        "splitting": {},
-        "degree": {},
-    }
-    if samples == 0:
-        if not in_eff_dual(alpha):
-            raise NotInEffDual(f"{alpha} is not in the dual of the effective cone")
-        return report
     h1pos = 0
     excess, splits, degs = {}, {}, {}
     for bundle in sample_bundles(q, alpha, samples, seed):
@@ -522,9 +479,14 @@ def hn_statistics(q, alpha: CurveClass, samples: int, seed: int) -> dict:
         skey = f"{st.e1},{st.e2},{st.e3}"
         splits[skey] = splits.get(skey, 0) + 1
         degs[str(deg)] = degs.get(str(deg), 0) + 1
-    report["h1_positive"] = h1pos
-    report["h1_positive_fraction"] = str(Fraction(h1pos, samples))
-    report["excess_e1"] = dict(sorted(excess.items()))
-    report["splitting"] = dict(sorted(splits.items()))
-    report["degree"] = dict(sorted(degs.items()))
-    return report
+    return {
+        "q": q,
+        "class": list(alpha),
+        "samples": samples,
+        "seed": seed,
+        "h1_positive": h1pos,
+        "h1_positive_fraction": str(Fraction(h1pos, samples) if samples else 0),
+        "excess_e1": dict(sorted(excess.items())),
+        "splitting": dict(sorted(splits.items())),
+        "degree": dict(sorted(degs.items())),
+    }

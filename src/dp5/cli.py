@@ -9,8 +9,9 @@ timestamps and wall times live outside the payload.  Every cmd_* returns
 exceptions to exit codes.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input (a bad class or
-flag, or a malformed or impossible curve file), 3 budget exceeded,
-4 certified methods disagree.
+flag, a malformed or impossible curve file, or an output file in a missing
+directory, refused before any work), 3 budget exceeded, 4 certified methods
+disagree.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -365,6 +367,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        # refuse a missing output directory before any work is done
+        for path in (getattr(args, "record", None), getattr(args, "out", None)):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(f"no directory for output file {path}")
         code, params, payload = args.func(args)
         if getattr(args, "record", None):
             _write_record(args.record, args.cmd, params, payload, t0)

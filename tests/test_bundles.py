@@ -6,6 +6,8 @@ import random
 import pytest
 
 from dp5.bundles import (
+    _Condition,
+    _twist_rows,
     build_bundle,
     hn_statistics,
     nullspace,
@@ -13,7 +15,7 @@ from dp5.bundles import (
     rref,
     sample_bundles,
 )
-from dp5.errors import PreconditionViolated
+from dp5.errors import NotInEffDual, PreconditionViolated
 from dp5.gf import field_of_order
 from dp5.p1 import INF, BinaryForm, Divisor, divisor_of
 from dp5.picard import ANTICANONICAL, CurveClass, scale
@@ -170,3 +172,34 @@ def test_guards_survive_python_O():
         out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                              capture_output=True, text=True)
         assert out.returncode == 0, (flags, out.stderr)
+
+
+def test_terms_on_one_block_add_up():
+    # two same-sign terms on block 0 act as one term carrying their sum
+    ctx = field_of_order(3)
+    zf = (1, 0, 1)  # x^2 + 1, irreducible over F_3
+    two = _Condition(zf, 1, ((0, (1, 1), 1, 1), (0, (1, 2), 1, 1)))
+    one = _Condition(zf, 1, ((0, (2, 0), 1, 1),))
+    dpp = (2, 0, 0)
+    rows = _twist_rows(ctx, [two], dpp, 0)[3]
+    assert rows == _twist_rows(ctx, [one], dpp, 0)[3]
+    assert any(rows[0]) and any(rows[1])  # the finite rows, mod zf
+
+
+def test_plucker_kernel_validates_its_quadruple():
+    ctx = field_of_order(3)
+    # a1 and a2 share the zero x = 1
+    shared = _forms(ctx, (2, 1), (2, 1), (1,), (1, 0, 1))
+    with pytest.raises(PreconditionViolated):
+        plucker_kernel(shared, (3, 1, 2))
+
+
+def test_hn_statistics_with_no_samples():
+    alpha = scale(ANTICANONICAL, 2)
+    assert hn_statistics(3, alpha, 0, 5) == {
+        "q": 3, "class": list(alpha), "samples": 0, "seed": 5,
+        "h1_positive": 0, "h1_positive_fraction": "0",
+        "excess_e1": {}, "splitting": {}, "degree": {},
+    }
+    with pytest.raises(NotInEffDual):
+        hn_statistics(3, CurveClass(0, 1, 0, 0, 0), 0, 5)

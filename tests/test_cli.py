@@ -356,3 +356,38 @@ def test_exit_code_map_names_every_error_class():
     declared = {v for v in vars(errors).values()
                 if isinstance(v, type) and issubclass(v, Exception)}
     assert declared == {cls for cls, _ in _EXIT_CODES}
+
+
+def test_missing_output_directory_exits_2_before_counting(tmp_path, monkeypatch,
+                                                          capsys):
+    from dp5 import cli
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("counted although the record cannot be written")
+
+    monkeypatch.setattr(cli, "count_fast", refuse)
+    missing = tmp_path / "missing" / "r.json"
+    assert main(["count", "--q", "2", "--class", "3,-1,-1,-1,-1",
+                 "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: FileNotFoundError" in captured.err
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("option", ["--out", "--record"])
+def test_sweep_missing_output_directory_exits_2_before_counting(
+        tmp_path, monkeypatch, capsys, option):
+    from dp5 import cli
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("swept although an output cannot be written")
+
+    monkeypatch.setattr(cli, "sweep", refuse)
+    classes = tmp_path / "classes.txt"
+    classes.write_text("1,0,0,0,0\n")
+    assert main(["sweep", "--q", "2", "--classes", str(classes),
+                 option, str(tmp_path / "missing" / "s.out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid input: FileNotFoundError" in captured.err
