@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
-    BudgetExceeded, DP5Error, InconsistentH0, NotInEffDual, PreconditionViolated,
+    BudgetExceeded, DP5Error, InconsistentH0, PreconditionViolated,
 )
 from .gf import FieldCtx, field_of_order
 from .p1 import (
@@ -55,7 +55,7 @@ from .p1 import (
     point_degree,
     pstrip,
 )
-from .picard import CurveClass, degree_data, in_eff_dual
+from .picard import CurveClass, eff_dual_data
 
 _ZERO4 = (Divisor(), Divisor(), Divisor(), Divisor())
 
@@ -415,10 +415,8 @@ def sample_bundles(q, alpha: CurveClass, samples: int, seed: int):
     of div(a_i), each disjoint from what it must miss, so every draw meets
     build_bundle's preconditions.  Deterministic by seed.
     """
-    if not in_eff_dual(alpha):
-        raise NotInEffDual(f"{alpha} is not in the dual of the effective cone")
+    dd = eff_dual_data(alpha)
     ctx = field_of_order(q)
-    dd = degree_data(alpha)
     dprime = tuple(dd[f"E{i}"] for i in (1, 2, 3, 4))
     dpp = (dd["L13"], dd["L24"], dd["L34"])
     pool = _squarefree_pool(ctx)

@@ -35,6 +35,7 @@ denominator.  A radius term is rounded up to the next step.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -232,6 +233,13 @@ def _required_bits(target: Fraction, terms: int) -> int:
     return bits + 32
 
 
+def _unreachable(target: Fraction, why: str) -> TargetUnreachable:
+    """The refusal of a radius target, shown to three digits in decimal,
+    which stays nonzero where float(target) would underflow."""
+    shown = Decimal(target.numerator) / Decimal(target.denominator)
+    return TargetUnreachable(f"radius {shown:.3g} {why}")
+
+
 def _to_target(run, target: Fraction) -> CertifiedReal:
     """Tighten the internal budget until the certified radius meets target.
 
@@ -244,7 +252,7 @@ def _to_target(run, target: Fraction) -> CertifiedReal:
         if out.rad <= target:
             return out
         budget /= 8
-    raise TargetUnreachable(f"could not certify radius {float(target):.3g}")
+    raise _unreachable(target, "could not be certified")
 
 
 def _checked_inputs(q: int, curve: Optional[CurveZeta], target_radius):
@@ -291,9 +299,7 @@ def leading_constant_direct(
         while Fraction(*tail_bound(n)) > budget / 4:
             n += 1
             if n > _N_CAP:
-                raise TargetUnreachable(
-                    f"radius {float(target):.3g} needs degree cutoff beyond {_N_CAP}"
-                )
+                raise _unreachable(target, f"needs degree cutoff beyond {_N_CAP}")
         counts = curve.closed_points(n)
         grid = _Grid(_required_bits(budget, n))
         grid.add_up(tail_bound(n))
@@ -347,9 +353,7 @@ def leading_constant_zeta(
                 kk += 1
                 tn, td = 24 * tn, 5 * q * td
                 if kk > _K_CAP:
-                    raise TargetUnreachable(
-                        f"radius {float(target):.3g} needs more than {_K_CAP} zeta values"
-                    )
+                    raise _unreachable(target, f"needs more than {_K_CAP} zeta values")
         e = witt_exponents(LOCAL_FACTOR_COEFFS, kk)
         grid = _Grid(_required_bits(budget, 3 * kk))
         grid.add_up(tail_bound(kk))

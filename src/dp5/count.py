@@ -71,7 +71,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
-from .errors import BudgetExceeded, DP5Error, NotInEffDual
+from .errors import BudgetExceeded, DP5Error
 from .gf import FieldCtx, field_of_order, prime_power
 from .p1 import (
     DEFAULT_BUDGET,
@@ -87,8 +87,7 @@ from .picard import (
     LINES,
     CurveClass,
     chamber_normalize,
-    degree_data,
-    in_eff_dual,
+    eff_dual_data,
     meets,
 )
 
@@ -123,9 +122,17 @@ def _check_workers(workers: int):
 
 
 def _budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return int(budget)
-    return int(os.environ.get("DP5_BUDGET", DEFAULT_BUDGET))
+    """`budget`, else $DP5_BUDGET, else DEFAULT_BUDGET, checked to be an int >= 0."""
+    name = "budget"
+    if budget is None:
+        name, budget = "DP5_BUDGET", os.environ.get("DP5_BUDGET", DEFAULT_BUDGET)
+    try:
+        value = int(budget)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {budget!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 # -- naive enumeration ---------------------------------------------------------
@@ -157,10 +164,8 @@ def _coprime_triples(ctx, a, b) -> bool:
 def count_naive(q: int, alpha: CurveClass, budget: Optional[int] = None) -> CountResult:
     """Reference count by full ten-fold enumeration with pruning."""
     alpha = CurveClass(*alpha)
-    if not in_eff_dual(alpha):
-        raise NotInEffDual(f"{alpha} pairs negatively with some line")
+    dd = eff_dual_data(alpha)
     prime_power(q)
-    dd = degree_data(alpha)
     degs = [dd[name] for name in COORD_NAMES]
     budget = _budget(budget)
     est = 1
@@ -628,14 +633,13 @@ def count_fast(
 
     The class is first moved to the fundamental chamber (the count is
     invariant under the 120 symmetries), so the outer quadruple runs over
-    the smallest degrees available.  Raises ValueError for workers < 1.
+    the smallest degrees available.  Raises ValueError for workers < 1 or
+    a negative budget.
     """
     _check_workers(workers)
     alpha = CurveClass(*alpha)
-    if not in_eff_dual(alpha):
-        raise NotInEffDual(f"{alpha} pairs negatively with some line")
+    dd0 = eff_dual_data(alpha)
     prime_power(q)
-    dd0 = degree_data(alpha)
     _, _, dd = chamber_normalize(alpha)
     pairings = dd.as_tuple()
     budget = _budget(budget)
@@ -714,11 +718,13 @@ def sweep_row(res: CountResult, c) -> dict:
 def sweep(q: int, classes, workers: int = 1, budget: Optional[int] = None):
     """Count every class and compare against the leading constant.
 
-    Returns one sweep_row per class.  Raises ValueError for workers < 1.
+    Returns one sweep_row per class.  Raises ValueError for workers < 1 or
+    a negative budget, before any work.
     """
     from .constants import leading_constant_direct
 
     _check_workers(workers)
+    budget = _budget(budget)
     c = leading_constant_direct(q)
     return [
         sweep_row(count_fast(q, alpha, workers=workers, budget=budget), c)

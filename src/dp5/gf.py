@@ -6,10 +6,10 @@ monic irreducible of degree e.  The modulus is the lexicographically smallest
 monic irreducible, coefficients compared low-to-high, so every (p, e) names
 one canonical field and results are reproducible across runs.
 
-Multiplication goes through discrete log/exp tables of a fixed generator
-(q-sized, cache-resident; this is why q is capped), addition is digitwise
-mod p.  All operations are exact; there is no notion of approximate equality
-anywhere in this module.
+Prime fields use int arithmetic mod p.  Extension fields do every operation
+on q-sized exp, log and Zech-log tables of a fixed generator (cache-resident;
+this is why q is capped).  All operations are exact; there is no notion of
+approximate equality anywhere in this module.
 """
 
 from __future__ import annotations
@@ -215,42 +215,30 @@ class FieldCtx:
         lg = [0] * q
         for i, v in enumerate(exp):
             lg[v] = i
-        self._exp, self._log, self.generator = exp, lg, g
-        self._add_table = None
-        if q <= 256 and self.e > 1:
-            self._add_table = [
-                bytes(self._add_slow(a, b) for b in range(q)) for a in range(q)
-            ]
-
-    def _add_slow(self, a: int, b: int) -> int:
-        p = self.p
-        r, mul = 0, 1
-        for _ in range(self.e):
-            r += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return r
+        # zech[i] = log(1 + g^i), or -1 where that is 0; +1 moves only digit 0
+        zech = [-1] * (q - 1)
+        for i, v in enumerate(exp):
+            w = v - p + 1 if v % p == p - 1 else v + 1
+            if w:
+                zech[i] = lg[w]
+        self._exp, self._log, self._zech, self.generator = exp, lg, zech, g
+        self._log_neg1 = (q - 1) // 2 if p > 2 else 0
 
     # -- public ops -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_slow(a, b)
+        if not (a and b):
+            return a or b
+        lg, n = self._log, self.q - 1
+        z = self._zech[(lg[b] - lg[a]) % n]
+        return 0 if z < 0 else self._exp[(lg[a] + z) % n]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        p = self.p
-        r, mul = 0, 1
-        for _ in range(self.e):
-            r += ((-a) % p) * mul
-            a //= p
-            mul *= p
-        return r
+        return a and self._exp[(self._log[a] + self._log_neg1) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

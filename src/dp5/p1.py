@@ -294,10 +294,10 @@ def form_from_index(ctx: FieldCtx, d: int, idx: int) -> BinaryForm:
     return BinaryForm(ctx, d, tuple(c))
 
 
-def enumerate_sections(ctx: FieldCtx, d: int, budget: int | None = DEFAULT_BUDGET):
+def enumerate_sections(ctx: FieldCtx, d: int, budget: int = DEFAULT_BUDGET):
     """All q^(d+1) sections of O(d), the zero section first."""
     total = ctx.q ** (d + 1)
-    if budget is not None and total > budget:
+    if total > budget:
         raise BudgetExceeded(f"{total} sections of O({d}) exceed budget {budget}")
     for idx in range(total):
         yield form_from_index(ctx, d, idx)

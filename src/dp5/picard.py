@@ -107,6 +107,15 @@ def in_eff_dual(alpha: CurveClass) -> bool:
     return all(v >= 0 for v in degree_data(alpha).pairings.values())
 
 
+def eff_dual_data(alpha: CurveClass) -> DegreeData:
+    """degree_data(alpha), or NotInEffDual if alpha pairs negatively with a
+    line: the one refusal of a class outside the dual of the effective cone."""
+    dd = degree_data(alpha)
+    if min(dd.pairings.values()) < 0:
+        raise NotInEffDual(f"{alpha} pairs negatively with some line")
+    return dd
+
+
 def pairings_to_class(p: dict) -> CurveClass:
     """Invert degree_data; raises if the ten values fit no class."""
     missing = [n for n in LINES if n not in p]
@@ -196,9 +205,7 @@ def chamber_normalize(alpha: CurveClass):
     each role to the line occupying it.  The first qualifying frame in
     lexicographic order wins, so already-normalized data keeps the identity.
     """
-    dd = degree_data(alpha)
-    if any(v < 0 for v in dd.pairings.values()):
-        raise NotInEffDual(f"{alpha} has a negative line pairing")
+    dd = eff_dual_data(alpha)
     for frame, perm in zip(*_framed()):
         moved = DegreeData({name: dd[perm[name]] for name in LINES}, dd.d)
         if in_chamber(moved):
@@ -208,11 +215,7 @@ def chamber_normalize(alpha: CurveClass):
 
 def boundary_distance(alpha: CurveClass) -> int:
     """min over the ten line pairings; equals d1 after normalization."""
-    dd = degree_data(alpha)
-    m = min(dd.pairings.values())
-    if m < 0:
-        raise NotInEffDual(f"{alpha} has a negative line pairing")
-    return m
+    return min(eff_dual_data(alpha).pairings.values())
 
 
 def surface_point_count(q: int) -> int:

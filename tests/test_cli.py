@@ -391,3 +391,38 @@ def test_sweep_missing_output_directory_exits_2_before_counting(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input: FileNotFoundError" in captured.err
+
+
+@pytest.mark.parametrize("method", ["fast", "naive"])
+def test_negative_budget_is_invalid_input(method, capsys):
+    assert main(["count", "--q", "2", "--class", "1,-1,0,0,0",
+                 "--method", method, "--budget", "-1"]) == 2
+    assert "invalid input: ValueError" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_negative_budget_before_the_constant(tmp_path,
+                                                             monkeypatch):
+    from dp5 import constants
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("computed the constant for an invalid budget")
+
+    monkeypatch.setattr(constants, "leading_constant_direct", refuse)
+    classes = tmp_path / "classes.txt"
+    classes.write_text("1,-1,0,0,0\n")
+    assert main(["sweep", "--q", "2", "--classes", str(classes),
+                 "--budget", "-1"]) == 2
+
+
+def test_dp5_budget_variable_is_checked(monkeypatch, capsys):
+    argv = ["count", "--q", "2", "--class", "1,-1,0,0,0"]
+    monkeypatch.setenv("DP5_BUDGET", "-3")
+    assert main(argv) == 2
+    monkeypatch.setenv("DP5_BUDGET", "abc")
+    assert main(argv) == 2
+    assert "DP5_BUDGET" in capsys.readouterr().err
+
+
+def test_zero_budget_is_a_refusal_not_invalid_input():
+    assert main(["count", "--q", "2", "--class", "1,-1,0,0,0",
+                 "--budget", "0"]) == 3

@@ -135,6 +135,16 @@ def test_unreachable_target():
         leading_constant_direct(2, target_radius=Fraction(1, 10**200))
 
 
+def test_unreachable_target_message_shows_a_nonzero_radius():
+    # float(1/10^400) underflows to 0; the message must still name the target
+    tiny = Fraction(1, 10**400)
+    for method, q in ((leading_constant_direct, 5), (leading_constant_zeta, 7)):
+        with pytest.raises(TargetUnreachable) as info:
+            method(q, target_radius=tiny)
+        assert "radius 0 " not in str(info.value)
+        assert "radius 1e-400 " in str(info.value)
+
+
 def test_genus_one_curve_both_strategies():
     z = curve_from_weil(7, 1, [1, 0, 7])
     a = leading_constant_direct(7, curve=z)

@@ -1,5 +1,5 @@
 """Field arithmetic: prime fields against int arithmetic, extensions
-against the axioms."""
+against the axioms and against digitwise arithmetic mod p."""
 
 import random
 
@@ -46,6 +46,34 @@ def test_extension_field_axioms(q):
         assert ctx.mul(a, ctx.inv(a)) == 1
         # x^q = x holds for every element of F_q
         assert ctx.pow(a, q) == a
+
+
+def _digitwise(p, a, b, sign):
+    """a + sign*b on the base-p digit vectors, digit by digit mod p."""
+    r, place = 0, 1
+    while a or b:
+        r += (a % p + sign * (b % p)) % p * place
+        a, b, place = a // p, b // p, place * p
+    return r
+
+
+@pytest.mark.parametrize(
+    "q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 243, 256, 1024, 2187])
+def test_extension_add_sub_neg_are_digitwise(q):
+    # count._packed_basis and _walk add coefficients lane by lane, one lane
+    # per base-p digit, so the encoding itself is pinned, not just the axioms
+    ctx = field_of_order(q)
+    p = ctx.p
+    if q <= 81:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert ctx.add(a, b) == _digitwise(p, a, b, 1)
+        assert ctx.sub(a, b) == _digitwise(p, a, b, -1)
+    for a in range(q):
+        assert ctx.neg(a) == _digitwise(p, 0, a, -1)
 
 
 def test_frobenius_is_additive():

@@ -93,6 +93,25 @@ def test_in_eff_dual():
         boundary_distance(line_class("E1"))
 
 
+def test_every_eff_dual_refusal_is_the_one_picard_raises():
+    from dp5.bundles import sample_bundles
+    from dp5.count import count_fast, count_naive
+    from dp5.picard import eff_dual_data
+
+    alpha = line_class("E1")
+    calls = (
+        eff_dual_data, chamber_normalize, boundary_distance,
+        lambda a: count_naive(2, a), lambda a: count_fast(2, a),
+        lambda a: next(sample_bundles(2, a, 1, 0)),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(NotInEffDual) as info:
+            call(alpha)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_symmetries_form_a_group_of_order_120():
     syms = symmetries()
     assert len(syms) == 120
