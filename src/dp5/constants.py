@@ -130,21 +130,30 @@ def _log1p_interval(w: Fraction, tol: Fraction):
 
 
 def _exp_interval(m: Fraction, r: Fraction, tol: Fraction) -> CertifiedReal:
-    """Interval for exp(x) over |x - m| <= r, with r < 1."""
+    """Interval for exp(x) over |x - m| <= r, with r < 1.
+
+    With m = a/b the partial sum of m^j/j! up to j = J is kept as one
+    integer numerator over den = b^J J!.  The sum stops at the first J
+    with |m| < J + 2 whose tail bound |m|^(J+1) / (J! (J+1) (1 - |m|/(J+2)))
+    is at most tol.
+    """
     if r >= 1:
         raise DP5Error(f"exp interval needs radius < 1, got {float(r):.3g}")
-    s = term = Fraction(1)
-    am = abs(m)
+    a, b = m.numerator, m.denominator
+    aa, tn, td = abs(a), tol.numerator, tol.denominator
+    num = den = power = 1  # power = a^j
     j = 0
     while True:
         j += 1
-        term = term * m / j
-        s += term
-        ratio = am / (j + 2)
-        if ratio < 1:
-            tail = abs(term) * am / ((j + 1) * (1 - ratio))
-            if tail <= tol:
+        power *= a
+        num, den = num * b * j + power, den * b * j
+        gap = b * (j + 2) - aa
+        if gap > 0:
+            # tail = |a|^(j+1) (j+2) / (den (j+1) gap)
+            tail_num, tail_den = abs(power) * aa * (j + 2), den * (j + 1) * gap
+            if tail_num * td <= tn * tail_den:
                 break
+    s, tail = Fraction(num, den), Fraction(tail_num, tail_den)
     return CertifiedReal(s, tail + (s + tail) * (r / (1 - r)))
 
 

@@ -51,8 +51,11 @@ normalised coprime quadruples:
 - sigma commutes with every g, so G is a direct product.
 
 _orbit_reps walks the quadruples with form indices nondecreasing inside each
-block of equal degree and keeps the least member of each G-orbit.  The walk
-reads coprimality off root masks and composes the PGL2 images of a few
+block of equal degree, in order, and marks each G-orbit when its least
+member is reached: that member is the representative, and the other members
+are skipped when the walk reaches them.  The members marked but not yet
+reached are among the tuples the walk visits, which the budget bounds.  The
+walk reads coprimality off root masks and composes the PGL2 images of a few
 generators (see _orbit_images).  count_fast then solves the kernel of every
 representative in the calling process, so the summed work, q^dim over all
 kernels, is checked against the budget once, before any kernel is walked.
@@ -345,7 +348,7 @@ def _packed_basis(ctx: FieldCtx, vectors):
     return basis
 
 
-def _kernel_coords(afixed, dpp, derived):
+def _kernel_coords(afixed, dpp, derived, packed=None):
     """(dim, basis): the solutions of _SYSTEM for the fixed quadruple.
 
     The unknowns are the base-p digits of the coefficients of the six
@@ -356,7 +359,9 @@ def _kernel_coords(afixed, dpp, derived):
     equation lane until it is a pivot itself or its equation lanes vanish;
     then it is a kernel vector whose highest lane is its own, so these are
     independent.  At p = 2 a row operation is one XOR, at odd p a lane-wise
-    add mod p of a scaled pivot row.
+    add mod p of a scaled pivot row.  packed caches the _packed_basis of
+    each signed outer form by (coeffs, sign); _solve_kernels passes one dict
+    for the whole count.
     """
     ctx = afixed[0].ctx
     p, e, w = ctx.p, ctx.e, _lane_width(ctx.p)
@@ -366,12 +371,18 @@ def _kernel_coords(afixed, dpp, derived):
     feeds = [[0] * e for _ in degs6]
     lanes = e * (sum(degs6) + 6)
     top = w * lanes
+    if packed is None:
+        packed = {}
     for terms in _SYSTEM:
         for s, i, sign in terms:
-            coeffs = afixed[i].coeffs
-            if sign < 0:
-                coeffs = [ctx.neg(c) for c in coeffs]
-            for k, x in enumerate(_packed_basis(ctx, [coeffs])):
+            key = (afixed[i].coeffs, sign)
+            xs = packed.get(key)
+            if xs is None:
+                coeffs = key[0]
+                if sign < 0:
+                    coeffs = [ctx.neg(c) for c in coeffs]
+                xs = packed[key] = _packed_basis(ctx, [coeffs])
+            for k, x in enumerate(xs):
                 feeds[s][k] |= x << w * lanes
         s, i, _ = terms[0]
         lanes += e * (afixed[i].d + degs6[s] + 1)
@@ -504,10 +515,13 @@ def _orbit_reps(q: int, pairings):
 
     G = PGL2(F_q) x Stab, where Stab permutes positions of a1..a4 inside each
     run of equal consecutive degrees (after chamber_normalize, d1 <= .. <= d4,
-    so the runs are the blocks of equal degree).  The walk visits only tuples
-    of form indices that are nondecreasing inside each run and keeps t when
-    no run-sorted PGL2 image of t is smaller; the forms of t are pairwise
-    coprime when their _root_masks are disjoint.  Returns a list of (coeffs,
+    so the runs are the blocks of equal degree).  The walk visits, in
+    lexicographic order, only tuples of form indices that are nondecreasing
+    inside each run; the forms of t are pairwise coprime when their
+    _root_masks are disjoint.  A tuple t not yet marked is the least member
+    of its orbit, so it is kept, and its other run-sorted members go into
+    seen by their mixed-radix index until the walk reaches them; seen holds
+    no more than the tuples the walk visits.  Returns a list of (coeffs,
     size, pgl2_orbits): the four forms as coefficient tuples, |G.t|, and the
     number of PGL2 orbits inside G.t, which is |G.t| / |PGL2.t|.
     """
@@ -528,33 +542,43 @@ def _orbit_reps(q: int, pairings):
     # inside a run the walk keeps form indices nondecreasing
     tied = [p > 0 and degs[p] == degs[p - 1] for p in range(4)]
 
-    def canon(u):
-        return tuple(v for a, b in runs for v in sorted(u[a:b]))
+    # the mixed-radix index of u with its entries sorted inside each run
+    n2, n3, n4 = len(m2), len(m3), len(m4)
 
-    reps = []
+    def key(u):
+        v = [x for a, b in runs for x in sorted(u[a:b])]
+        return ((v[0] * n2 + v[1]) * n3 + v[2]) * n4 + v[3]
+
+    reps, seen = [], set()
     for i1, k1 in enumerate(m1):
-        for i2 in range(i1 if tied[1] else 0, len(m2)):
+        for i2 in range(i1 if tied[1] else 0, n2):
             if k1 & m2[i2]:
                 continue
             k12 = k1 | m2[i2]
-            for i3 in range(i2 if tied[2] else 0, len(m3)):
+            for i3 in range(i2 if tied[2] else 0, n3):
                 if k12 & m3[i3]:
                     continue
                 k123 = k12 | m3[i3]
-                for i4 in range(i3 if tied[3] else 0, len(m4)):
+                base = ((i1 * n2 + i2) * n3 + i3) * n4
+                for i4 in range(i3 if tied[3] else 0, n4):
                     if k123 & m4[i4]:
                         continue
+                    if base + i4 in seen:
+                        seen.remove(base + i4)
+                        continue
+                    # unmarked, so the least member of its orbit: mark the rest
                     t = (i1, i2, i3, i4)
-                    pgl2_orbit = set()
-                    for u in zip(o1[i1], o2[i2], o3[i3], o4[i4]):
-                        if canon(u) < t:
-                            break
-                        pgl2_orbit.add(u)
-                    else:
-                        sorted_images = set(map(canon, pgl2_orbit))
-                        size = sum(_arrangements(s, runs) for s in sorted_images)
-                        coeffs = tuple(lists[d][i].coeffs for d, i in zip(degs, t))
-                        reps.append((coeffs, size, size // len(pgl2_orbit)))
+                    pgl2_orbit = set(zip(o1[i1], o2[i2], o3[i3], o4[i4]))
+                    members = set(map(key, pgl2_orbit))
+                    # PGL2 permutes the forms of each degree, so every member
+                    # repeats entries as t does and has |Stab.t| arrangements
+                    size = len(members) * _arrangements(t, runs)
+                    members.discard(base + i4)
+                    seen |= members
+                    coeffs = tuple(lists[d][i].coeffs for d, i in zip(degs, t))
+                    reps.append((coeffs, size, size // len(pgl2_orbit)))
+    if seen:
+        raise DP5Error(f"{len(seen)} orbit members were marked but never reached")
     return reps
 
 
@@ -600,10 +624,10 @@ def _solve_kernels(q: int, pairings, reps):
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
     degs6 = tuple(dd[name] for name in _SLOTS)
-    kernels = []
+    kernels, packed = [], {}
     for coeffs, size, _ in reps:
         afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
-        dim, basis = _kernel_coords(afixed, degs6[:3], degs6[3:])
+        dim, basis = _kernel_coords(afixed, degs6[:3], degs6[3:], packed)
         kernels.append((q**dim, basis, size))
     return kernels
 

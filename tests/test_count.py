@@ -737,3 +737,75 @@ def test_outer_tables_are_not_built_below_the_orbit_table_budget(
     # the gate is tight: one more unit of budget and the tables are built
     with pytest.raises(AssertionError, match="outer tables were built"):
         count_fast(q, _cls(text), budget=tables)
+
+
+def test_orbit_marking_matches_the_minimum_image_walk():
+    # run structures the root-mask test above lacks: one run of four degree-2
+    # forms at q = 5, degrees (1, 1, 1, 2) at q = 9, (1, 2, 2, 3) at q = 4
+    # and one run of four degree-4 forms at q = 2
+    from dp5.count import _orbit_reps
+    from dp5.picard import chamber_normalize
+
+    cases = [
+        (5, "6,-2,-2,-2,-2", 130),
+        (9, "4,-2,-1,-1,-1", 15),
+        (4, "5,-3,-1,-1,0", 11),
+        (2, "12,-4,-4,-4,-4", 115),
+    ]
+    for q, text, n in cases:
+        pairings = chamber_normalize(_cls(text))[2].as_tuple()
+        reps = _orbit_reps(q, pairings)
+        assert len(reps) == n, (q, text)
+        assert reps == _orbit_reps_by_pgcd(q, pairings), (q, text)
+
+
+def test_orbit_marks_the_walk_never_reaches_raise(monkeypatch):
+    from dp5 import count
+    from dp5.errors import DP5Error
+    from dp5.picard import chamber_normalize
+
+    real = count._orbit_images
+
+    def collapsed(ctx, forms, group):
+        # every image is the first form, so (0, 0, 0, 0) is marked, and it
+        # is not coprime, so the walk never reaches it
+        return [(0,) * len(row) for row in real(ctx, forms, group)]
+
+    monkeypatch.setattr(count, "_orbit_images", collapsed)
+    pairings = chamber_normalize(ANTICANONICAL)[2].as_tuple()
+    with pytest.raises(DP5Error, match="marked but never reached"):
+        count._orbit_reps(3, pairings)
+
+
+@pytest.mark.parametrize("q,text", [(2, "12,-4,-4,-4,-4"), (4, "2,-2,0,0,0"),
+                                    (9, "2,-2,0,0,0")])
+def test_solve_kernels_packs_each_outer_form_once(monkeypatch, q, text):
+    # q = 9 is odd p with e = 2: negated forms and their X^i multiples
+    from dp5 import count
+    from dp5.gf import field_of_order
+    from dp5.p1 import BinaryForm
+    from dp5.picard import chamber_normalize
+
+    dd = chamber_normalize(_cls(text))[2]
+    pairings = dd.as_tuple()
+    degs = tuple(dd[f"E{i}"] for i in (1, 2, 3, 4))
+    degs6 = tuple(dd[name] for name in count._SLOTS)
+    ctx = field_of_order(q)
+    reps = count._orbit_reps(q, pairings)
+    want = []
+    for coeffs, size, _ in reps:
+        afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
+        dim, basis = count._kernel_coords(afixed, degs6[:3], degs6[3:])
+        want.append((q**dim, basis, size))
+
+    real, calls = count._packed_basis, []
+
+    def packed_basis(ctx, vectors):
+        calls.append(vectors)
+        return real(ctx, vectors)
+
+    monkeypatch.setattr(count, "_packed_basis", packed_basis)
+    assert count._solve_kernels(q, pairings, reps) == want
+    # each distinct outer form, and its negation, packed once per count
+    forms = {c for coeffs, _, _ in reps for c in coeffs}
+    assert len(calls) <= 2 * len(forms)
