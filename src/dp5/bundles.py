@@ -26,7 +26,9 @@ vectors needs, so a sum over the bundles build_bundle accepts is not a
 count; the bundles serve the splitting statistics.
 
 plucker_kernel is the bundle with all eight divisors zero, read at twist 0:
-the two divisibility conditions alone, on a validated quadruple a'.
+the two divisibility conditions alone, on a validated quadruple a'.  The
+walk of count_fast relies on h1(0) = 0 for this zero-divisor bundle of a
+chamber-normalised class, and count_fast checks it on every kernel.
 """
 
 from __future__ import annotations

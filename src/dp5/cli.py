@@ -26,7 +26,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .count import SWEEP_COLUMNS, count_fast, count_naive, sweep, sweep_row
+from .count import (SWEEP_COLUMNS, _check_workers, count_fast, count_naive,
+                    sweep, sweep_row)
 from .errors import BudgetExceeded, DP5Error
 from .picard import (
     LINES,
@@ -95,6 +96,7 @@ def _class_arg(args) -> CurveClass:
 
 def cmd_count(args) -> tuple[int, dict, dict]:
     alpha = _class_arg(args)
+    _check_workers(args.workers)
     if args.method == "naive":
         res = count_naive(args.q, alpha, budget=args.budget)
     else:

@@ -56,13 +56,13 @@ member is reached: that member is the representative, and the other members
 are skipped when the walk reaches them.  The members marked but not yet
 reached are among the tuples the walk visits, which the budget bounds.  The
 walk reads coprimality off root masks and composes the PGL2 images of a few
-generators (see _orbit_images).  count_fast then solves the kernel of every
-representative in the calling process, so the summed work, q^dim over all
-kernels, is checked against the budget once, before any kernel is walked.
-The kernels are walked in the calling process unless two or more workers
-are asked for and the work reaches _POOL_MIN_WORK; then a process pool
-walks them, dealt largest q^dim first, each to the least-loaded worker.
-Each kernel count is weighted by its orbit size.
+generators (see _orbit_images).  Every kernel has the Riemann-Roch
+dimension _kernel_dim, so the work, len(reps) * q^dim, is checked against
+the budget before any kernel is solved; a kernel of another dimension
+raises before it is walked.  The kernels are solved and walked in the
+calling process unless two or more workers are asked for and the work
+reaches _POOL_MIN_WORK; then the representatives, of equal work, are dealt
+in turn to a process pool.  Each kernel count is weighted by its orbit size.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def _kernel_coords(afixed, dpp, derived, packed=None):
     independent.  At p = 2 a row operation is one XOR, at odd p a lane-wise
     add mod p of a scaled pivot row.  packed caches the _packed_basis of
     each signed outer form by (coeffs, sign); _solve_kernels passes one dict
-    for the whole count.
+    for all the representatives it solves.
     """
     ctx = afixed[0].ctx
     p, e, w = ctx.p, ctx.e, _lane_width(ctx.p)
@@ -605,45 +605,41 @@ def _arrangements(t, runs) -> int:
 _POOL_MIN_WORK = 250_000
 
 
-def _deal(kernels, shards: int):
-    """The kernels of _solve_kernels in shards, largest q^dim first, each to
-    the least-loaded shard (LPT)."""
-    loads = [0] * shards
-    out = [[] for _ in range(shards)]
-    for kernel in sorted(kernels, key=lambda k: -k[0]):
-        i = loads.index(min(loads))
-        out[i].append(kernel)
-        loads[i] += kernel[0]
-    return out
+def _kernel_dim(dd) -> int:
+    """The kernel dimension when h1 = 0: deg + 3 of the zero-divisor bundle."""
+    return dd["L13"] + dd["L24"] + dd["L34"] - dd["E1"] - dd["E2"] + 3
 
 
 def _solve_kernels(q: int, pairings, reps):
-    """(q^dim, basis, orbit size) for each representative of _orbit_reps,
-    basis the packed F_p-basis of _kernel_coords."""
+    """(q^dim, basis, orbit size) for each representative of _orbit_reps, basis
+    the packed F_p-basis of _kernel_coords; DP5Error if dim is not _kernel_dim."""
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
     degs6 = tuple(dd[name] for name in _SLOTS)
+    want = _kernel_dim(dd)
     kernels, packed = [], {}
     for coeffs, size, _ in reps:
         afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
         dim, basis = _kernel_coords(afixed, degs6[:3], degs6[3:], packed)
+        if dim != want:
+            raise DP5Error(f"kernel dimension {dim} != {want} over {coeffs}: h1 > 0")
         kernels.append((q**dim, basis, size))
     return kernels
 
 
 def _fast_worker(args):
-    """Walk the kernels of one shard: args is (q, pairings, kernels), kernels
-    as _solve_kernels builds them.  Returns the accepted vectors weighted by
-    orbit size."""
-    q, pairings, kernels = args
+    """Solve the kernels of one shard, then walk them: args is (q, pairings,
+    reps), reps a share of _orbit_reps.  Returns the accepted vectors
+    weighted by orbit size."""
+    q, pairings, reps = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs6 = tuple(dd[name] for name in _SLOTS)
     masks = _root_masks(ctx, degs6)
     return sum(
         _count_inner(ctx, degs6, basis, masks)[0] * size
-        for _, basis, size in kernels
+        for _, basis, size in _solve_kernels(q, pairings, reps)
     )
 
 
@@ -686,19 +682,18 @@ def count_fast(
         raise BudgetExceeded(f"root-mask tables need {roots} > budget {budget}")
 
     reps = _orbit_reps(q, pairings)
-    kernels = _solve_kernels(q, pairings, reps)
-    work = sum(k[0] for k in kernels)
+    work = len(reps) * q ** _kernel_dim(dd)
     if work > budget:
         raise BudgetExceeded(f"kernel enumeration needs {work} > budget {budget}")
-    shards = min(workers, len(kernels))
+    shards = min(workers, len(reps))
     if shards > 1 and work >= _POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(q, pairings, shard) for shard in _deal(kernels, shards)]
+        jobs = [(q, pairings, reps[i::shards]) for i in range(shards)]
         with ProcessPoolExecutor(max_workers=shards) as pool:
             total = sum(pool.map(_fast_worker, jobs))
     else:
-        total = _fast_worker((q, pairings, kernels))
+        total = _fast_worker((q, pairings, reps))
     m = total * (q - 1) ** 4
     _check_torus(m, q)
     return CountResult(

@@ -11,10 +11,10 @@ fixtures/golden.json together with the exact command lines that made them.
 
 import itertools
 import json
-import os
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +34,8 @@ from dp5.picard import (
     symmetries,
 )
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__),
-                                     "fixtures", "golden.json")))
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "golden.json")
+                    .read_text(encoding="utf-8"))
 
 
 def _cls(text):

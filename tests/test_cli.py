@@ -175,6 +175,15 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     assert "workers must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_naive_count_refuses_workers_below_one(capsys, workers):
+    assert main(["count", "--q", "3", "--class", "3,-1,-1,-1,-1",
+                 "--method", "naive", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert "workers must be at least 1" in captured.err
+    assert "hom_count" not in captured.out
+
+
 def test_small_sweep_starts_no_pool(tmp_path, monkeypatch):
     import concurrent.futures
 

@@ -6,6 +6,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +24,8 @@ from dp5.constants import (
 from dp5.errors import Diverges, NegativePointCount, TargetUnreachable
 from dp5.motivic import LOCAL_FACTOR_COEFFS
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__),
-                                     "fixtures", "golden.json")))
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "golden.json")
+                    .read_text(encoding="utf-8"))
 
 
 def test_certified_real_basics():

@@ -4,6 +4,7 @@ the kernel-based one, and both must hit the known closed forms."""
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +28,8 @@ from dp5.picard import (
     symmetries,
 )
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__),
-                                     "fixtures", "golden.json")))
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "golden.json")
+                    .read_text(encoding="utf-8"))
 
 
 def _cls(text):
@@ -316,7 +317,7 @@ def test_summed_budget_refuses_shards_that_each_fit():
     reps = count._orbit_reps(q, pairings)
     # three orbits of 1024 vectors, dealt 2048 + 1024 to two workers
     kernels = count._solve_kernels(q, pairings, reps)
-    shard_work = [sum(k[0] for k in shard) for shard in count._deal(kernels, 2)]
+    shard_work = [sum(k[0] for k in kernels[i::2]) for i in range(2)]
     assert shard_work == [2048, 1024]
     for workers in (1, 2):
         with pytest.raises(BudgetExceeded):
@@ -352,16 +353,6 @@ def test_forced_pool_gives_identical_results(monkeypatch):
         assert results[0] == results[1] == results[2], (q, alpha)
 
 
-def test_kernels_are_dealt_largest_first():
-    from dp5.count import _deal
-
-    kernels = [(w, None, 1) for w in (1, 9, 1, 3, 4, 1, 5)]
-    shards = _deal(kernels, 3)
-    # loads 9, 8, 7; round-robin would load 1+3+5, 9+4, 1+1
-    assert [[k[0] for k in shard] for shard in shards] == [[9], [5, 1, 1, 1], [4, 3]]
-    assert sorted(kernels) == sorted(k for shard in shards for k in shard)
-
-
 def test_kernel_budget_is_checked_before_any_walk(monkeypatch):
     from dp5 import count
 
@@ -381,6 +372,112 @@ def test_kernel_budget_is_checked_before_any_walk(monkeypatch):
             messages.add(str(err.value))
         assert messages == {f"kernel enumeration needs {work} > budget {work - 1}"}
         monkeypatch.undo()
+
+
+def test_kernel_verdict_needs_no_solve(monkeypatch):
+    from dp5 import count
+
+    def refuse(*args):
+        raise AssertionError("a kernel was solved")
+
+    for q, alpha in ((4, _cls("2,-2,0,0,0")), (2, _cls("8,-2,-2,-2,-2"))):
+        work = count_fast(q, alpha).work
+        monkeypatch.setattr(count, "_kernel_coords", refuse)
+        monkeypatch.setattr(count, "_POOL_MIN_WORK", 0)
+        for workers in (1, 2, 8):
+            with pytest.raises(BudgetExceeded) as err:
+                count_fast(q, alpha, workers=workers, budget=work - 1)
+            assert str(err.value) == (
+                f"kernel enumeration needs {work} > budget {work - 1}")
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_of_another_dimension_is_never_walked(monkeypatch, workers):
+    import concurrent.futures
+
+    from dp5 import count
+    from dp5.errors import DP5Error
+
+    real, started = count._kernel_coords, []
+
+    def one_more(afixed, dpp, derived, packed=None):
+        # dim + 1: e more packed ints
+        dim, basis = real(afixed, dpp, derived, packed)
+        return dim + 1, basis + basis[: afixed[0].ctx.e]
+
+    def refuse(*args):
+        raise AssertionError("a kernel was walked")
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(count, "_kernel_coords", one_more)
+    monkeypatch.setattr(count, "_count_inner", refuse)
+    monkeypatch.setattr(count, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    # three kernels of 1024 vectors
+    with pytest.raises(DP5Error, match="h1 > 0"):
+        count_fast(4, _cls("2,-2,0,0,0"), workers=workers)
+    assert started == ([2] if workers == 2 else [])
+
+
+def test_pool_jobs_carry_representatives(monkeypatch):
+    import concurrent.futures
+
+    from dp5 import count
+    from dp5.picard import chamber_normalize
+
+    parent, solved_here, jobs = os.getpid(), [], []
+    real = count._kernel_coords
+
+    def kernel_coords(*args):
+        if os.getpid() == parent:
+            solved_here.append(args)
+        return real(*args)
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            jobs.extend(iterables[0])
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(count, "_kernel_coords", kernel_coords)
+    monkeypatch.setattr(count, "_POOL_MIN_WORK", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    q, alpha = 2, scale(ANTICANONICAL, 3)
+    assert count_fast(q, alpha, workers=2).hom == 360
+    assert solved_here == []
+    # each job is a share of the representatives: coefficient tuples and sizes
+    pairings = chamber_normalize(alpha)[2].as_tuple()
+    reps = count._orbit_reps(q, pairings)
+    assert len(reps) == 6
+    assert jobs == [(q, pairings, reps[0::2]), (q, pairings, reps[1::2])]
+
+
+def test_pool_starts_above_the_real_gate(monkeypatch):
+    import concurrent.futures
+
+    from dp5 import count
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    # q = 2, -5K: 1 850 kernels, 473 600 vectors
+    alpha = scale(ANTICANONICAL, 5)
+    one = count_fast(2, alpha)
+    assert started == []
+    assert one.work >= count._POOL_MIN_WORK
+    assert (one.kernels, one.work, one.hom) == (1850, 473600, 1725120)
+    assert count_fast(2, alpha, workers=2) == one
+    assert started == [2]
 
 
 @pytest.mark.parametrize("workers", [0, -4])

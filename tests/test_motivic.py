@@ -5,6 +5,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,8 @@ from dp5.motivic import (
     witt_exponents,
 )
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__),
-                                     "fixtures", "golden.json")))
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "golden.json")
+                    .read_text(encoding="utf-8"))
 
 
 def _rand_series(rng, trunc):
