@@ -28,12 +28,11 @@ F_p-space of dimension e*dim (q = p^e).  The six varying forms are packed
 into one int, one lane per base-p digit of each coefficient; the system is
 eliminated on these packed ints, and a p-ary Gray code reaches every kernel
 vector once, adding one basis vector per step: an XOR at p = 2, a lane-wise
-add mod p otherwise.  Coprimality is read off root masks built once per
-count for each slot degree: bit 0 is the point at infinity, then one bit
-per monic irreducible, so two forms share a point exactly when their masks
-meet.  A vector is accepted when its six forms are nonzero and their masks
-miss those of the disjoint varying forms; coprimality with the outer forms
-follows (see _count_inner).
+add mod p otherwise.  Coprimality is read off root masks: bit 0 is the
+point at infinity, then one bit per monic irreducible, so two forms share a
+point exactly when their masks meet.  A vector is accepted when its six
+forms are nonzero and their masks miss those of the disjoint varying forms;
+coprimality with the outer forms follows (see _count_inner).
 
 The kernel count is constant on the orbits of G = PGL2(F_q) x Stab acting on
 normalised coprime quadruples:
@@ -63,14 +62,20 @@ raises before it is walked.  The kernels are solved and walked in the
 calling process unless two or more workers are asked for and the work
 reaches _POOL_MIN_WORK; then the representatives, of equal work, are dealt
 in turn to a process pool.  Each kernel count is weighted by its orbit size.
+
+The tables that depend only on the field and one degree (the monic outer
+forms, their PGL2 images and the root masks) are built once per process, on
+first use after the budget checks, and kept in a bounded cache of
+_TABLE_CACHE entries per kind (_outer_tables, _mask_table); every count at
+that q shares them and none mutates them.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from functools import cache, lru_cache
+from itertools import combinations, zip_longest
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
@@ -449,30 +454,57 @@ def _walk(p: int, basis):
         yield x
 
 
-def _root_masks(ctx: FieldCtx, degrees):
-    """Root-mask tables for the slot degrees of one count.
+# the per-(q, degree) tables of _mask_table and _outer_tables are kept for
+# this many (q, degree) pairs each, for the life of the process
+_TABLE_CACHE = 32
 
-    tables[d] maps each packed nonzero form of degree d to its root mask:
-    bit 0 is the point at infinity, the form t, then one bit per monic
-    irreducible in p1.irreducibles order, so the numbering is shared across
-    degrees.  A table is built by walking the multiples pi*g of each point
-    pi of degree <= d.
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _mask_table(q: int, d: int):
+    """The root mask of each packed nonzero form of degree d over F_q.
+
+    Bit 0 is the point at infinity, the form t, then one bit per monic
+    irreducible in p1.irreducibles order, so every table numbers the points
+    as a prefix of one order and tables of any degrees and counts combine.
+    The table is built by walking the multiples pi*g of each point pi of
+    degree <= d.  It is shared by every count at q and must not be mutated.
     """
-    points = [(1, 0)] + irreducibles(ctx, max(degrees))
-    tables = {}
-    for d in set(degrees):
-        table = tables[d] = {}
-        if d == 0:  # the nonzero constants have no points
-            table.update((key, 0) for key in _walk(ctx.p, _packed_basis(ctx, [(1,)])))
-            continue
-        for bit, pi in enumerate(points):
-            k = len(pi) - 1
-            if k > d:
-                break
-            shifts = [(0,) * j + pi + (0,) * (d - k - j) for j in range(d - k + 1)]
-            for key in _walk(ctx.p, _packed_basis(ctx, shifts)):
-                table[key] = table.get(key, 0) | 1 << bit
-    return tables
+    ctx = field_of_order(q)
+    table = {}
+    if d == 0:  # the nonzero constants have no points
+        table.update((key, 0) for key in _walk(ctx.p, _packed_basis(ctx, [(1,)])))
+        return table
+    for bit, pi in enumerate([(1, 0)] + irreducibles(ctx, d)):
+        k = len(pi) - 1
+        shifts = [(0,) * j + pi + (0,) * (d - k - j) for j in range(d - k + 1)]
+        for key in _walk(ctx.p, _packed_basis(ctx, shifts)):
+            table[key] = table.get(key, 0) | 1 << bit
+    return table
+
+
+def _root_masks(ctx: FieldCtx, degrees):
+    """Root-mask tables for the slot degrees of one count: tables[d] maps
+    each packed nonzero form of degree d to its root mask.  Each is the
+    _mask_table of (q, d), built once per process and shared, read-only."""
+    return {d: _mask_table(ctx.q, d) for d in set(degrees)}
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _outer_tables(q: int, d: int):
+    """(forms, images, masks) for the outer forms of degree d over F_q.
+
+    forms is _monic_forms, images its _orbit_images under _pgl2 and masks
+    the _root_masks entry of each form, all tuples shared by every count at
+    q.  The one form of degree 0 is fixed by the whole group, so its row is
+    the identity column alone and no group is built for it.
+    """
+    ctx = field_of_order(q)
+    forms = tuple(_monic_forms(ctx, d))
+    group = _pgl2(ctx) if d else [(1, 0, 0, 1)]
+    images = tuple(_orbit_images(ctx, forms, group))
+    table = _root_masks(ctx, (d,))[d]
+    keys = _packed_basis(ctx, [f.coeffs for f in forms])[:: ctx.e]
+    return forms, images, tuple(table[k] for k in keys)
 
 
 def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
@@ -523,21 +555,14 @@ def _orbit_reps(q: int, pairings):
     seen by their mixed-radix index until the walk reaches them; seen holds
     no more than the tuples the walk visits.  Returns a list of (coeffs,
     size, pgl2_orbits): the four forms as coefficient tuples, |G.t|, and the
-    number of PGL2 orbits inside G.t, which is |G.t| / |PGL2.t|.
+    number of PGL2 orbits inside G.t, which is |G.t| / |PGL2.t|.  The forms,
+    images and masks of each degree come from _outer_tables, built once per
+    process in a bounded cache; count_fast checks their budget first.
     """
-    ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
-    lists = {d: _monic_forms(ctx, d) for d in set(degs)}
-    # with all four degrees zero there is a single quadruple
-    group = _pgl2(ctx) if max(degs) else [(1, 0, 0, 1)]
-    images = {d: _orbit_images(ctx, forms, group) for d, forms in lists.items()}
-    tables, masks = _root_masks(ctx, degs), {}
-    for d, forms in lists.items():
-        keys = _packed_basis(ctx, [f.coeffs for f in forms])[:: ctx.e]
-        masks[d] = [tables[d][k] for k in keys]
-    m1, m2, m3, m4 = (masks[d] for d in degs)
-    o1, o2, o3, o4 = (images[d] for d in degs)
+    outer = {d: _outer_tables(q, d) for d in set(degs)}
+    (f1, o1, m1), (f2, o2, m2), (f3, o3, m3), (f4, o4, m4) = (outer[d] for d in degs)
     runs = _runs(degs)
     # inside a run the walk keeps form indices nondecreasing
     tied = [p > 0 and degs[p] == degs[p - 1] for p in range(4)]
@@ -568,14 +593,17 @@ def _orbit_reps(q: int, pairings):
                         continue
                     # unmarked, so the least member of its orbit: mark the rest
                     t = (i1, i2, i3, i4)
-                    pgl2_orbit = set(zip(o1[i1], o2[i2], o3[i3], o4[i4]))
+                    # a degree-0 row is one column: its form is fixed
+                    pgl2_orbit = set(
+                        zip_longest(o1[i1], o2[i2], o3[i3], o4[i4], fillvalue=0)
+                    )
                     members = set(map(key, pgl2_orbit))
                     # PGL2 permutes the forms of each degree, so every member
                     # repeats entries as t does and has |Stab.t| arrangements
                     size = len(members) * _arrangements(t, runs)
                     members.discard(base + i4)
                     seen |= members
-                    coeffs = tuple(lists[d][i].coeffs for d, i in zip(degs, t))
+                    coeffs = tuple(f[i].coeffs for f, i in zip((f1, f2, f3, f4), t))
                     reps.append((coeffs, size, size // len(pgl2_orbit)))
     if seen:
         raise DP5Error(f"{len(seen)} orbit members were marked but never reached")

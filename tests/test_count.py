@@ -906,3 +906,111 @@ def test_solve_kernels_packs_each_outer_form_once(monkeypatch, q, text):
     # each distinct outer form, and its negation, packed once per count
     forms = {c for coeffs, _, _ in reps for c in coeffs}
     assert len(calls) <= 2 * len(forms)
+
+
+def _table_builds(monkeypatch):
+    # calls of the outer-table builders and misses of the mask-table cache,
+    # which between them build every per-(q, degree) table
+    from dp5 import count
+
+    calls = {}
+    for name in ("_orbit_images", "_pgl2", "_monic_forms"):
+        real = getattr(count, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(count, name, spy)
+    return lambda: dict(calls, mask_misses=count._mask_table.cache_info().misses)
+
+
+@pytest.mark.parametrize("q,text", [(3, "2,-2,0,0,0"), (4, "3,-1,-1,-1,-1"),
+                                    (2, "8,-2,-2,-2,-2")])
+def test_second_count_builds_no_table(monkeypatch, q, text):
+    builds = _table_builds(monkeypatch)
+    cold = count_fast(q, _cls(text))
+    before = builds()
+    assert before["_orbit_images"] > 0 and before["mask_misses"] > 0
+    assert count_fast(q, _cls(text)) == cold
+    assert builds() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_verdicts_do_not_depend_on_warm_tables(monkeypatch, workers):
+    from dp5.cli import main
+
+    # at q = 2 the gates are ordered: quadruples 6 < orbit tables 24 <
+    # root-mask tables 28 < kernel work 256, so each one trips alone
+    alpha = _cls("3,0,0,-1,-1")
+    gates = [(24, "orbit tables need"), (28, "root-mask tables need"),
+             (256, "kernel enumeration needs")]
+
+    def verdicts():
+        out = []
+        for need, _ in gates:
+            with pytest.raises(BudgetExceeded) as err:
+                count_fast(2, alpha, workers=workers, budget=need - 1)
+            out.append(str(err.value))
+            code = main(["count", "--q", "2", "--class", "3,0,0,-1,-1",
+                         "--workers", str(workers), "--budget", str(need - 1)])
+            out.append(code)
+        return out
+
+    want = []
+    for need, text in gates:
+        want += [f"{text} {need} > budget {need - 1}", 3]
+    assert verdicts() == want  # cold
+    assert count_fast(2, alpha, workers=workers).work == 256
+    builds = _table_builds(monkeypatch)
+    before = builds()
+    assert verdicts() == want  # warm
+    assert builds() == before
+
+
+def test_table_caches_stay_within_their_bound():
+    from dp5 import count
+    from dp5.picard import chamber_normalize
+
+    # k(H - E1) has outer degrees (0, 0, 0, k); a count refused at the
+    # kernel gate has already built its outer tables
+    cases = [(2, k) for k in range(9)] + [(3, k) for k in range(6)]
+    cases += [(4, k) for k in range(4)] + [(5, k) for k in range(4)]
+    cases += [(7, k) for k in range(3)] + [(q, k) for q in (8, 9, 11) for k in (0, 1)]
+    cases += [(13, 0), (16, 0)]
+    pairs = set()
+    for q, k in cases:
+        alpha = CurveClass(k, -k, 0, 0, 0)
+        dd = chamber_normalize(alpha)[2]
+        pairs |= {(q, dd[f"E{i}"]) for i in (1, 2, 3, 4)}
+        try:
+            count_fast(q, alpha, budget=20_000)
+        except BudgetExceeded as err:
+            assert "kernel enumeration" in str(err), (q, k)
+    assert len(pairs) > count._TABLE_CACHE
+    for cached in (count._outer_tables, count._mask_table):
+        info = cached.cache_info()
+        assert info.maxsize == count._TABLE_CACHE
+        assert info.misses >= len(pairs)
+        assert info.currsize <= info.maxsize
+
+
+def test_counts_leave_the_cached_tables_unchanged():
+    from dp5 import count
+
+    def snapshot(q, degrees):
+        outer = {}
+        for d in degrees:
+            forms, images, masks = count._outer_tables(q, d)
+            outer[d] = ([(f.d, f.coeffs) for f in forms], images, masks)
+        return outer, {d: dict(count._mask_table(q, d)) for d in degrees}
+
+    for q, first, second in ((3, "2,-2,0,0,0", "1,-1,0,0,0"),
+                             (4, "3,-1,-1,-1,-1", "2,-2,0,0,0"),
+                             (5, "3,-1,-1,-1,-1", "2,-2,0,0,0")):
+        count_fast(q, _cls(first))
+        before = snapshot(q, (0, 1, 2))
+        hits = count._outer_tables.cache_info().hits
+        count_fast(q, _cls(second))
+        assert count._outer_tables.cache_info().hits > hits, q
+        assert snapshot(q, (0, 1, 2)) == before, q
