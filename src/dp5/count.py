@@ -57,11 +57,13 @@ reached are among the tuples the walk visits, which the budget bounds.  The
 walk reads coprimality off root masks and composes the PGL2 images of a few
 generators (see _orbit_images).  Every kernel has the Riemann-Roch
 dimension _kernel_dim, so the work, len(reps) * q^dim, is checked against
-the budget before any kernel is solved; a kernel of another dimension
-raises before it is walked.  The kernels are solved and walked in the
-calling process unless two or more workers are asked for and the work
-reaches _POOL_MIN_WORK; then the representatives, of equal work, are dealt
-in turn to a process pool.  Each kernel count is weighted by its orbit size.
+the budget before any kernel is solved.  The representatives are counted in
+the calling process unless two or more workers are asked for and the work
+reaches _POOL_MIN_WORK; then, being of equal work, they are dealt in turn
+to a process pool.  Each shard solves, checks and walks one representative
+at a time and weights its kernel count by the orbit size.  A kernel of
+another dimension stops the count before it is walked, though earlier
+kernels of its shard may already have been walked.
 
 The tables that depend only on the field and one degree (the monic outer
 forms, their PGL2 images and the root masks) are built once per process, on
@@ -124,23 +126,31 @@ class CountResult(NamedTuple):
         return Fraction(self.hom, self.q ** (self.degree + 2))
 
 
+def _integer(name: str, value) -> int:
+    """value, refused with ValueError unless it is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_workers(workers: int):
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _budget(budget: Optional[int]) -> int:
-    """`budget`, else $DP5_BUDGET, else DEFAULT_BUDGET, checked to be an int >= 0."""
+    """`budget`, else $DP5_BUDGET parsed as an int, else DEFAULT_BUDGET,
+    checked to be an int >= 0."""
     name = "budget"
     if budget is None:
-        name, budget = "DP5_BUDGET", os.environ.get("DP5_BUDGET", DEFAULT_BUDGET)
-    try:
-        value = int(budget)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {budget!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return value
+        name, text = "DP5_BUDGET", os.environ.get("DP5_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            budget = int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if _integer(name, budget) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {budget}")
+    return budget
 
 
 # -- naive enumeration ---------------------------------------------------------
@@ -353,7 +363,7 @@ def _packed_basis(ctx: FieldCtx, vectors):
     return basis
 
 
-def _kernel_coords(afixed, dpp, derived, packed=None):
+def _kernel_coords(afixed, degs6, packed):
     """(dim, basis): the solutions of _SYSTEM for the fixed quadruple.
 
     The unknowns are the base-p digits of the coefficients of the six
@@ -364,20 +374,17 @@ def _kernel_coords(afixed, dpp, derived, packed=None):
     equation lane until it is a pivot itself or its equation lanes vanish;
     then it is a kernel vector whose highest lane is its own, so these are
     independent.  At p = 2 a row operation is one XOR, at odd p a lane-wise
-    add mod p of a scaled pivot row.  packed caches the _packed_basis of
-    each signed outer form by (coeffs, sign); _solve_kernels passes one dict
-    for all the representatives it solves.
+    add mod p of a scaled pivot row.  degs6 are the slot degrees in _SLOTS
+    order.  packed caches the _packed_basis of each signed outer form by
+    (coeffs, sign); _fast_worker passes one dict for its whole shard.
     """
     ctx = afixed[0].ctx
     p, e, w = ctx.p, ctx.e, _lane_width(ctx.p)
-    degs6 = tuple(dpp) + tuple(derived)
     # feeds[s][k]: the equation lanes fed by X^k in the constant coefficient
     # of slot s; the unknowns' lanes lie below bit top
     feeds = [[0] * e for _ in degs6]
     lanes = e * (sum(degs6) + 6)
     top = w * lanes
-    if packed is None:
-        packed = {}
     for terms in _SYSTEM:
         for s, i, sign in terms:
             key = (afixed[i].coeffs, sign)
@@ -526,16 +533,18 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
         width = _lane_width(ctx.p) * ctx.e * (d + 1)
         slots.append((shift, (1 << width) - 1, masks[d]))
         shift += width
-    (_, m0, t0), (s1, m1, t1), (s2, m2, t2) = slots[:3]
-    (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = slots[3:]
+    # in _SLOT_GROUPS order, so the groups are k0 k1, k2 k3 and k4 k5 below;
+    # slot 0 comes first and lies at shift 0
+    order = [slots[s] for group in _SLOT_GROUPS for s in group]
+    (_, m0, t0), (s1, m1, t1), (s2, m2, t2) = order[:3]
+    (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = order[3:]
     accepted = 0
     for x in _walk(ctx.p, vectors):
         k0, k1, k2 = x & m0, x >> s1 & m1, x >> s2 & m2
         k3, k4, k5 = x >> s3 & m3, x >> s4 & m4, x >> s5 & m5
         if not (k0 and k1 and k2 and k3 and k4 and k5):
             continue
-        # the cross pairs of _SLOT_GROUPS
-        g, h, k = t0[k0] | t1[k1], t2[k2] | t5[k5], t3[k3] | t4[k4]
+        g, h, k = t0[k0] | t1[k1], t2[k2] | t3[k3], t4[k4] | t5[k5]
         if g & h or g & k or h & k:
             continue
         accepted += 1
@@ -638,37 +647,27 @@ def _kernel_dim(dd) -> int:
     return dd["L13"] + dd["L24"] + dd["L34"] - dd["E1"] - dd["E2"] + 3
 
 
-def _solve_kernels(q: int, pairings, reps):
-    """(q^dim, basis, orbit size) for each representative of _orbit_reps, basis
-    the packed F_p-basis of _kernel_coords; DP5Error if dim is not _kernel_dim."""
+def _fast_worker(args):
+    """Count one shard: args is (q, pairings, reps), reps a share of
+    _orbit_reps.  Each representative's kernel is solved, checked to have
+    dimension _kernel_dim (DP5Error naming h1 > 0 if not) and walked before
+    the next one is solved, so no list of bases is kept.  Returns the
+    accepted vectors weighted by orbit size."""
+    q, pairings, reps = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
     degs6 = tuple(dd[name] for name in _SLOTS)
     want = _kernel_dim(dd)
-    kernels, packed = [], {}
+    masks = _root_masks(ctx, degs6)
+    total, packed = 0, {}
     for coeffs, size, _ in reps:
         afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
-        dim, basis = _kernel_coords(afixed, degs6[:3], degs6[3:], packed)
+        dim, basis = _kernel_coords(afixed, degs6, packed)
         if dim != want:
             raise DP5Error(f"kernel dimension {dim} != {want} over {coeffs}: h1 > 0")
-        kernels.append((q**dim, basis, size))
-    return kernels
-
-
-def _fast_worker(args):
-    """Solve the kernels of one shard, then walk them: args is (q, pairings,
-    reps), reps a share of _orbit_reps.  Returns the accepted vectors
-    weighted by orbit size."""
-    q, pairings, reps = args
-    ctx = field_of_order(q)
-    dd = dict(zip(LINES, pairings))
-    degs6 = tuple(dd[name] for name in _SLOTS)
-    masks = _root_masks(ctx, degs6)
-    return sum(
-        _count_inner(ctx, degs6, basis, masks)[0] * size
-        for _, basis, size in _solve_kernels(q, pairings, reps)
-    )
+        total += _count_inner(ctx, degs6, basis, masks)[0] * size
+    return total
 
 
 def count_fast(

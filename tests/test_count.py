@@ -276,7 +276,7 @@ def _unreduced_m_count(q, alpha):
         trip = [(f, f.dehom(), pdeg(f.dehom()) < f.d) for f in afixed]
         if not all(_coprime_triples(ctx, a, b) for a, b in combinations(trip, 2)):
             continue
-        _, vectors = _kernel_coords(afixed, dpp, derived)
+        _, vectors = _kernel_coords(afixed, dpp + derived, {})
         acc, _ = _count_inner(ctx, dpp + derived, vectors, masks)
         total += acc
     return total * (q - 1) ** 4
@@ -308,16 +308,26 @@ def test_kernel_counts_run_once_per_group_orbit():
     assert count_naive(2, _cls("1,0,0,0,0")).kernels == 0
 
 
-def test_summed_budget_refuses_shards_that_each_fit():
+def test_summed_budget_refuses_shards_that_each_fit(monkeypatch):
     from dp5 import count
     from dp5.picard import chamber_normalize
 
     q, alpha = 4, _cls("2,-2,0,0,0")
     pairings = tuple(chamber_normalize(alpha)[2][name] for name in LINES)
     reps = count._orbit_reps(q, pairings)
+    real, walked = count._count_inner, []
+
+    def count_inner(ctx, degs6, vectors, masks):
+        walked.append(ctx.p ** len(vectors))
+        return real(ctx, degs6, vectors, masks)
+
+    monkeypatch.setattr(count, "_count_inner", count_inner)
     # three orbits of 1024 vectors, dealt 2048 + 1024 to two workers
-    kernels = count._solve_kernels(q, pairings, reps)
-    shard_work = [sum(k[0] for k in kernels[i::2]) for i in range(2)]
+    shard_work = []
+    for i in range(2):
+        del walked[:]
+        count._fast_worker((q, pairings, reps[i::2]))
+        shard_work.append(sum(walked))
     assert shard_work == [2048, 1024]
     for workers in (1, 2):
         with pytest.raises(BudgetExceeded):
@@ -401,9 +411,9 @@ def test_kernel_of_another_dimension_is_never_walked(monkeypatch, workers):
 
     real, started = count._kernel_coords, []
 
-    def one_more(afixed, dpp, derived, packed=None):
+    def one_more(afixed, degs6, packed):
         # dim + 1: e more packed ints
-        dim, basis = real(afixed, dpp, derived, packed)
+        dim, basis = real(afixed, degs6, packed)
         return dim + 1, basis + basis[: afixed[0].ctx.e]
 
     def refuse(*args):
@@ -422,6 +432,62 @@ def test_kernel_of_another_dimension_is_never_walked(monkeypatch, workers):
     with pytest.raises(DP5Error, match="h1 > 0"):
         count_fast(4, _cls("2,-2,0,0,0"), workers=workers)
     assert started == ([2] if workers == 2 else [])
+
+
+def test_shard_walks_each_kernel_before_it_solves_the_next(monkeypatch):
+    from dp5 import count
+    from dp5.errors import DP5Error
+
+    real_coords, real_inner, calls = count._kernel_coords, count._count_inner, []
+
+    def kernel_coords(afixed, degs6, packed):
+        calls.append("solve")
+        dim, basis = real_coords(afixed, degs6, packed)
+        if calls.count("solve") == 2:  # only the second kernel: dim + 1
+            return dim + 1, basis + basis[: afixed[0].ctx.e]
+        return dim, basis
+
+    def count_inner(*args):
+        calls.append("walk")
+        return real_inner(*args)
+
+    monkeypatch.setattr(count, "_kernel_coords", kernel_coords)
+    monkeypatch.setattr(count, "_count_inner", count_inner)
+    # three kernels of 1024 vectors, in one shard
+    with pytest.raises(DP5Error, match="h1 > 0"):
+        count_fast(4, _cls("2,-2,0,0,0"))
+    assert calls == ["solve", "walk", "solve"]
+
+
+@pytest.mark.parametrize("budget", [float("inf"), 2.9, 10.0, True, "10"])
+def test_non_integer_budget_is_refused(monkeypatch, budget):
+    from dp5 import constants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed the constant for an invalid budget")
+
+    monkeypatch.setattr(constants, "leading_constant_direct", refuse)
+    alpha = _cls("1,0,0,0,0")
+    for run in (lambda: count_fast(2, alpha, budget=budget),
+                lambda: count_naive(2, alpha, budget=budget),
+                lambda: sweep(2, [alpha], budget=budget)):
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            run()
+
+
+@pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"])
+def test_non_integer_workers_are_refused(monkeypatch, workers):
+    from dp5 import constants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed the constant for invalid workers")
+
+    monkeypatch.setattr(constants, "leading_constant_direct", refuse)
+    alpha = _cls("1,0,0,0,0")
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        count_fast(2, alpha, workers=workers)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        sweep(2, [alpha], workers=workers)
 
 
 def test_pool_jobs_carry_representatives(monkeypatch):
@@ -578,7 +644,7 @@ def test_kernel_system_matches_plucker_kernel():
                 else:
                     continue
                 checked[q] = checked.get(q, 0) + 1
-                dim, basis = _kernel_coords(afixed, degs6[:3], degs6[3:])
+                dim, basis = _kernel_coords(afixed, degs6, {})
                 _, _, old = plucker_kernel(afixed, degs6[:3])
                 assert dim == len(old) and len(basis) == ctx.e * dim, (q, alpha)
                 new = []
@@ -892,8 +958,15 @@ def test_solve_kernels_packs_each_outer_form_once(monkeypatch, q, text):
     want = []
     for coeffs, size, _ in reps:
         afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
-        dim, basis = count._kernel_coords(afixed, degs6[:3], degs6[3:])
+        dim, basis = count._kernel_coords(afixed, degs6, {})
         want.append((q**dim, basis, size))
+
+    masks = count._root_masks(ctx, degs6)  # warm: a table miss packs forms
+    real_inner, walked = count._count_inner, []
+
+    def count_inner(ctx, degs6, vectors, masks):
+        walked.append(vectors)
+        return real_inner(ctx, degs6, vectors, masks)
 
     real, calls = count._packed_basis, []
 
@@ -901,8 +974,13 @@ def test_solve_kernels_packs_each_outer_form_once(monkeypatch, q, text):
         calls.append(vectors)
         return real(ctx, vectors)
 
+    monkeypatch.setattr(count, "_count_inner", count_inner)
     monkeypatch.setattr(count, "_packed_basis", packed_basis)
-    assert count._solve_kernels(q, pairings, reps) == want
+    total = count._fast_worker((q, pairings, reps))
+    got = [(ctx.p ** len(b), b, size) for b, (_, size, _) in zip(walked, reps)]
+    assert got == want
+    assert total == sum(real_inner(ctx, degs6, basis, masks)[0] * size
+                        for _, basis, size in want)
     # each distinct outer form, and its negation, packed once per count
     forms = {c for coeffs, _, _ in reps for c in coeffs}
     assert len(calls) <= 2 * len(forms)
