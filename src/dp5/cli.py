@@ -117,6 +117,7 @@ def cmd_count(args) -> tuple[int, dict, dict]:
         "quadruples": res.quadruples,
         "orbits": res.orbits,
         "kernels": res.kernels,
+        "walked": res.walked,
         "ratio": float(ratio),
     }
     if args.format == "csv":

@@ -23,15 +23,24 @@ by (F_q^*)^4 permutes solutions, only first-nonzero-coefficient-one
 representatives of a' are enumerated and the outer factor (q-1)^4 is
 restored at the end.
 
-The kernel, an F_q-space of dimension dim, is solved and walked as an
-F_p-space of dimension e*dim (q = p^e).  The six varying forms are packed
-into one int, one lane per base-p digit of each coefficient; the system is
-eliminated on these packed ints, and a p-ary Gray code reaches every kernel
-vector once, adding one basis vector per step: an XOR at p = 2, a lane-wise
-add mod p otherwise.  Coprimality is read off root masks: bit 0 is the
-point at infinity, then one bit per monic irreducible, so two forms share a
-point exactly when their masks meet.  A vector is accepted when its six
-forms are nonzero and their masks miss those of the disjoint varying forms;
+The kernel, an F_q-space of dimension dim, is solved as an F_p-space of
+dimension e*dim (q = p^e).  The six varying forms are packed into one int,
+one lane per base-p digit of each coefficient, and the system is eliminated
+on these packed ints.  The F_p-basis comes in blocks of e vectors, one block
+per free F_q-coefficient: the first vector of a block has that coefficient 1
+and every later free coefficient 0 (see _kernel_coords).  Whether a vector
+is accepted depends only on the zero sets of its six forms, so it is the
+same for every F_q^* multiple, and _projective_walk visits one vector per
+F_q-line, (q^dim - 1)/(q - 1) in all: the first vector of each block plus
+every F_p-combination of the blocks below it, reached by a p-ary Gray code
+that adds one basis vector per step (an XOR at p = 2, a lane-wise add mod p
+otherwise).  _count_inner multiplies its accepted total by q - 1 and checks
+the premise at q > 2 on the first few vectors of every kernel whose six
+forms are nonzero: each must get the verdict of its multiple by a generator
+of F_q^*.  Coprimality is read off root masks: bit 0 is the point at
+infinity, then one bit per monic irreducible, so two forms share a point
+exactly when their masks meet.  A vector is accepted when its six forms are
+nonzero and their masks miss those of the disjoint varying forms;
 coprimality with the outer forms follows (see _count_inner).
 
 The kernel count is constant on the orbits of G = PGL2(F_q) x Stab acting on
@@ -69,14 +78,16 @@ The tables that depend only on the field and one degree (the monic outer
 forms, their PGL2 images and the root masks) are built once per process, on
 first use after the budget checks, and kept in a bounded cache of
 _TABLE_CACHE entries per kind (_outer_tables, _mask_table); every count at
-that q shares them and none mutates them.
+that q shares them and none mutates them.  _outer_tables also keeps the
+image entries it holds, forms times group elements summed, within
+_OUTER_TABLE_ENTRIES, dropping the least recently used tables first.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from itertools import combinations, zip_longest
 from math import comb, factorial
 from typing import NamedTuple, Optional
@@ -121,6 +132,7 @@ class CountResult(NamedTuple):
     quadruples: int = 0  # coprime normalised quadruples a' (count_fast only)
     orbits: int = 0  # their PGL2(F_q) orbits
     kernels: int = 0  # kernel counts run: one per orbit of PGL2(F_q) x Stab
+    walked: int = 0  # kernel vectors walked: (q^dim - 1)/(q - 1) per kernel
 
     def ratio(self) -> Fraction:
         return Fraction(self.hom, self.q ** (self.degree + 2))
@@ -377,6 +389,16 @@ def _kernel_coords(afixed, degs6, packed):
     add mod p of a scaled pivot row.  degs6 are the slot degrees in _SLOTS
     order.  packed caches the _packed_basis of each signed outer form by
     (coeffs, sign); _fast_worker passes one dict for its whole shard.
+
+    The basis comes in blocks of e, one per free F_q-coefficient, which is
+    what _projective_walk relies on.  The unknowns run in the order (slot,
+    coefficient, digit) and the kernel is F_q-linear, so the kernel vectors
+    whose highest nonzero coefficient is a given one form, with zero, an
+    F_q-space of dimension 0 or 1 modulo those below: each coefficient has
+    all e of its digits free or none.  A pivot row only ever holds pivot
+    unknowns besides its own, so each kernel vector is 1 on its own digit
+    and 0 on every other free digit.  The first vector of a block thus has
+    its coefficient equal to 1 and every other free coefficient 0.
     """
     ctx = afixed[0].ctx
     p, e, w = ctx.p, ctx.e, _lane_width(ctx.p)
@@ -461,6 +483,68 @@ def _walk(p: int, basis):
         yield x
 
 
+def _projective_walk(p: int, e: int, basis):
+    """One vector of each F_q-line of the span of a _kernel_coords basis.
+
+    For j = 0, e, 2e, ..., basis[j] plus every F_p-combination of
+    basis[:j], by the Gray steps of _walk: a nonzero kernel vector has a
+    highest free coefficient, in block j/e, and its one multiple with that
+    coefficient 1 is among these.  That is sum of q^(j/e), (q^dim - 1)/(q - 1)
+    vectors for q = p^e.
+    """
+    if p == 2:
+        if e == 1:  # q = 2: every line is one vector, so _walk's one loop
+            x = 0
+            for t in range(1, 1 << len(basis)):
+                x ^= basis[(t & -t).bit_length() - 1]
+                yield x
+            return
+        for j in range(0, len(basis), e):
+            x = basis[j]
+            yield x
+            for t in range(1, 1 << j):
+                x ^= basis[(t & -t).bit_length() - 1]
+                yield x
+        return
+    w = _lane_width(p)
+    lanes = -(-max((b.bit_length() for b in basis), default=0) // w)
+    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
+    K, H = ones * ((1 << (w - 1)) - p), ones << (w - 1)
+    for j in range(0, len(basis), e):
+        x = basis[j]
+        yield x
+        for t in range(1, p**j):
+            k, n = 0, t
+            while n % p == 0:
+                n //= p
+                k += 1
+            s = x + basis[k]
+            x = s - p * (((s + K) & H) >> (w - 1))
+            yield x
+
+
+@cache
+def _generator_lanes(q: int):
+    """{c: generator * c} over F_q for each coefficient c packed in its e
+    lanes: the base-p digits of c, low digit first, as _packed_basis packs
+    them, multiplied by ctx.mul."""
+    ctx = field_of_order(q)
+    p, w = ctx.p, _lane_width(ctx.p)
+
+    def pack(c):
+        return sum((c // p**k % p) << w * k for k in range(ctx.e))
+
+    return {pack(c): pack(ctx.mul(ctx.generator, c)) for c in range(q)}
+
+
+def _times_generator(ctx: FieldCtx, x: int, coeffs: int) -> int:
+    """The packed vector x, of coeffs F_q-coefficients, times ctx.generator."""
+    table = _generator_lanes(ctx.q)
+    width = _lane_width(ctx.p) * ctx.e
+    lanes = (1 << width) - 1
+    return sum(table[x >> s & lanes] << s for s in range(0, coeffs * width, width))
+
+
 # the per-(q, degree) tables of _mask_table and _outer_tables are kept for
 # this many (q, degree) pairs each, for the life of the process
 _TABLE_CACHE = 32
@@ -496,14 +580,69 @@ def _root_masks(ctx: FieldCtx, degrees):
     return {d: _mask_table(ctx.q, d) for d in set(degrees)}
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
+# _outer_tables keeps no more image entries than this, len(forms) times the
+# columns of a row summed over its tables: about 9 bytes each, so about 38 MB
+_OUTER_TABLE_ENTRIES = 1 << 22
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+    entries: int  # size(result) summed over the results held
+
+
+def _lru_within(entries, size):
+    """functools.lru_cache(maxsize=_TABLE_CACHE) for a function of (q, d)
+    that also keeps size(result), summed over the results it holds, within
+    entries: the least recently used results go first, and a result larger
+    than entries alone is returned but not kept.  cache_info() adds the
+    entries held to lru_cache's four fields."""
+
+    def wrap(build):
+        kept = {}  # (q, d): (result, size), least recently used first
+        stats = [0, 0]  # hits, misses
+
+        @wraps(build)
+        def cached(q, d):
+            hit = kept.pop((q, d), None)
+            if hit is not None:
+                stats[0] += 1
+                kept[q, d] = hit
+                return hit[0]
+            stats[1] += 1
+            result = build(q, d)
+            n = size(result)
+            if n <= entries:
+                kept[q, d] = result, n
+                held = sum(k for _, k in kept.values())
+                while len(kept) > _TABLE_CACHE or held > entries:
+                    held -= kept.pop(next(iter(kept)))[1]
+            return result
+
+        def cache_clear():
+            kept.clear()
+            stats[:] = [0, 0]
+
+        cached.cache_info = lambda: _CacheInfo(
+            *stats, _TABLE_CACHE, len(kept), sum(k for _, k in kept.values()))
+        cached.cache_clear = cache_clear
+        return cached
+
+    return wrap
+
+
+@_lru_within(_OUTER_TABLE_ENTRIES, lambda tables: len(tables[1]) * len(tables[1][0]))
 def _outer_tables(q: int, d: int):
     """(forms, images, masks) for the outer forms of degree d over F_q.
 
     forms is _monic_forms, images its _orbit_images under _pgl2 and masks
     the _root_masks entry of each form, all tuples shared by every count at
     q.  The one form of degree 0 is fixed by the whole group, so its row is
-    the identity column alone and no group is built for it.
+    the identity column alone and no group is built for it.  The tables
+    hold len(forms) * q(q^2 - 1) image entries (len(forms) at d = 0), which
+    the cache keeps within _OUTER_TABLE_ENTRIES.
     """
     ctx = field_of_order(q)
     forms = tuple(_monic_forms(ctx, d))
@@ -514,12 +653,63 @@ def _outer_tables(q: int, d: int):
     return forms, images, tuple(table[k] for k in keys)
 
 
+# at q > 2 the first this many vectors of each kernel's projective walk whose
+# six slots are nonzero are checked to get the verdict of their multiple by a
+# generator of F_q^*
+_SCALING_CHECKS = 4
+
+
+def _scaling_checked(ctx: FieldCtx, walk, order, coeffs: int) -> int:
+    """Draw vectors from walk until _SCALING_CHECKS with six nonzero slots
+    have had the verdict of their multiple by ctx.generator; DP5Error if
+    one has not.  Returns how many of the drawn vectors are accepted.
+
+    order holds (shift, key mask, root-mask table) per slot in _SLOT_GROUPS
+    order, as _count_inner builds it; coeffs is the number of coefficients
+    packed in a vector.
+    """
+    (s0, m0, t0), (s1, m1, t1), (s2, m2, t2) = order[:3]
+    (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = order[3:]
+
+    def verdict(x):  # _count_inner's, or None for a zero slot
+        k0, k1, k2 = x >> s0 & m0, x >> s1 & m1, x >> s2 & m2
+        k3, k4, k5 = x >> s3 & m3, x >> s4 & m4, x >> s5 & m5
+        if not (k0 and k1 and k2 and k3 and k4 and k5):
+            return None
+        g, h, k = t0[k0] | t1[k1], t2[k2] | t3[k3], t4[k4] | t5[k5]
+        return not (g & h or g & k or h & k)
+
+    accepted = checked = 0
+    for x in walk:
+        ok = verdict(x)
+        if ok is None:
+            continue
+        if verdict(_times_generator(ctx, x, coeffs)) is not ok:
+            raise DP5Error(
+                f"a kernel vector and its multiple by {ctx.generator} get "
+                f"different verdicts over F_{ctx.q}: acceptance is not "
+                "invariant under scaling"
+            )
+        accepted += ok
+        checked += 1
+        if checked == _SCALING_CHECKS:
+            break
+    return accepted
+
+
 def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
-    """Accepted kernel vectors for the fixed quadruple, and the q^dim walked.
+    """Accepted kernel vectors for the fixed quadruple, and the q^dim they
+    are drawn from.
 
     vectors is the packed F_p-basis of _kernel_coords; masks is
     _root_masks(ctx, degs6).  A vector is accepted when its six slots are
     nonzero and share no point with the slots of the other two groups.
+    That depends only on the zero sets of the slots, which an F_q^* multiple
+    keeps, so _projective_walk visits one vector per F_q-line and the
+    accepted lines count q - 1 vectors each.  At q > 2 _scaling_checked
+    first compares vectors with their multiples by ctx.generator: only
+    vectors with six nonzero slots, as the multiples of the others have the
+    same zero slot whatever the masks say.
 
     The outer forms a1..a4 need no test: let a point divide a_i and a_jk,
     i not in {j, k}, and let s be the fourth index.  Relation P_j is
@@ -538,8 +728,12 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     order = [slots[s] for group in _SLOT_GROUPS for s in group]
     (_, m0, t0), (s1, m1, t1), (s2, m2, t2) = order[:3]
     (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = order[3:]
-    accepted = 0
-    for x in _walk(ctx.p, vectors):
+
+    walk = _projective_walk(ctx.p, ctx.e, vectors)
+    # the check reads the slots in a function of its own: a closure here
+    # would make the loop's locals cells, which slows it at every q
+    accepted = _scaling_checked(ctx, walk, order, sum(degs6) + 6) if ctx.q > 2 else 0
+    for x in walk:
         k0, k1, k2 = x & m0, x >> s1 & m1, x >> s2 & m2
         k3, k4, k5 = x >> s3 & m3, x >> s4 & m4, x >> s5 & m5
         if not (k0 and k1 and k2 and k3 and k4 and k5):
@@ -548,7 +742,7 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
         if g & h or g & k or h & k:
             continue
         accepted += 1
-    return accepted, ctx.p ** len(vectors)
+    return accepted * (ctx.q - 1), ctx.p ** len(vectors)
 
 
 def _orbit_reps(q: int, pairings):
@@ -735,6 +929,7 @@ def count_fast(
         sum(size for _, size, _ in reps),
         sum(n for _, _, n in reps),
         len(reps),
+        len(reps) * (q ** _kernel_dim(dd) - 1) // (q - 1),
     )
 
 

@@ -1092,3 +1092,151 @@ def test_counts_leave_the_cached_tables_unchanged():
         count_fast(q, _cls(second))
         assert count._outer_tables.cache_info().hits > hits, q
         assert snapshot(q, (0, 1, 2)) == before, q
+
+
+def _first_kernel(q, alpha):
+    """(ctx, degs6, basis) of the first kernel count_fast walks."""
+    from dp5 import count
+    from dp5.gf import field_of_order
+    from dp5.p1 import BinaryForm
+    from dp5.picard import chamber_normalize
+
+    ctx = field_of_order(q)
+    dd = chamber_normalize(alpha)[2]
+    coeffs = count._orbit_reps(q, tuple(dd[name] for name in LINES))[0][0]
+    afixed = tuple(BinaryForm(ctx, dd[f"E{i + 1}"], c) for i, c in enumerate(coeffs))
+    degs6 = tuple(dd[name] for name in count._SLOTS)
+    return ctx, degs6, count._kernel_coords(afixed, degs6, {})[1]
+
+
+def _break_scaling(q, text):
+    """Give the generator multiple g*f of one slot form f a root mask that
+    meets another group, where f lies in an accepted vector among the first
+    that count_fast checks for (q, text); f keeps its mask."""
+    from dp5 import count
+    from dp5.count import _SLOT_GROUPS, _mask_table, _packed_basis, _projective_walk
+
+    ctx, degs6, basis = _first_kernel(q, _cls(text))
+    tables = {d: _mask_table(q, d) for d in degs6}
+    checked = 0
+    for x in _projective_walk(ctx.p, ctx.e, basis):
+        forms = _unpack(ctx, x, degs6)
+        if not all(any(f) for f in forms):
+            continue
+        keys = [_packed_basis(ctx, [f])[0] for f in forms]
+        masks = [tables[d][k] for d, k in zip(degs6, keys)]
+        group = [masks[a] | masks[b] for a, b in _SLOT_GROUPS]
+        if not (group[0] & group[1] or group[0] & group[2] or group[1] & group[2]):
+            break
+        checked += 1
+    assert checked < count._SCALING_CHECKS and group[1] | group[2]
+    scaled = tuple(ctx.mul(ctx.generator, c) for c in forms[0])
+    key = _packed_basis(ctx, [scaled])[0]
+    assert key != keys[0]
+    tables[degs6[0]][key] |= group[1] | group[2]
+
+
+GOLDEN_HOM = {(r["q"], r["class"]): r["hom"] for r in GOLDEN["oracle_counts"]}
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_scaling_check_fires_on_a_broken_mask_table(q):
+    from dp5.cli import main
+    from dp5.errors import DP5Error
+
+    assert count_fast(q, _cls("1,-1,0,0,0")).hom == GOLDEN_HOM[q, "1,-1,0,0,0"]
+    _break_scaling(q, "1,-1,0,0,0")
+    with pytest.raises(DP5Error, match="not invariant under scaling"):
+        count_fast(q, _cls("1,-1,0,0,0"))
+    assert main(["count", "--q", str(q), "--class", "1,-1,0,0,0"]) == 1
+
+
+def test_scaling_check_survives_python_O():
+    import subprocess
+    import sys
+
+    here = os.path.dirname(__file__)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {here!r})\n"
+        "from test_count import _break_scaling\n"
+        "from dp5.cli import main\n"
+        "_break_scaling(3, '1,-1,0,0,0')\n"
+        "raise SystemExit(main(['count', '--q', '3', '--class', '1,-1,0,0,0']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, os.pardir, "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert "not invariant under scaling" in out.stderr
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_projective_walk_visits_one_vector_per_line(q):
+    from dp5.count import _packed_basis, _projective_walk, _walk
+
+    # four linear forms are never coprime at q = 2
+    for text in ("1,-1,0,0,0", "2,-2,0,0,0",
+                 "8,-2,-2,-2,-2" if q == 2 else "3,-1,-1,-1,-1"):
+        ctx, degs6, basis = _first_kernel(q, _cls(text))
+        dim = len(basis) // ctx.e
+        lines = list(_projective_walk(ctx.p, ctx.e, basis))
+        assert len(lines) == len(set(lines)) == (q**dim - 1) // (q - 1), (q, text)
+        multiples = set()
+        for x in lines:
+            coeffs = [c for f in _unpack(ctx, x, degs6) for c in f]
+            for a in range(1, q):
+                multiples.add(_packed_basis(ctx, [[ctx.mul(a, c) for c in coeffs]])[0])
+        assert multiples == set(_walk(ctx.p, basis)), (q, text)
+
+
+def test_walked_counts_the_vectors_the_walk_yields(monkeypatch):
+    from dp5 import count
+
+    real, yields = count._projective_walk, []
+
+    def walk(p, e, basis):
+        for x in real(p, e, basis):
+            yields[-1] += 1
+            yield x
+
+    monkeypatch.setattr(count, "_projective_walk", walk)
+    cases = [(2, scale(ANTICANONICAL, 3), 378), (3, _cls("2,-2,0,0,0"), 363),
+             (4, ANTICANONICAL, 85), (5, ANTICANONICAL, 156), (9, ANTICANONICAL, 1640)]
+    for q, alpha, walked in cases:
+        yields.append(0)
+        res = count_fast(q, alpha)
+        assert res.walked == yields[-1] == walked, (q, alpha)
+        assert res.walked == res.kernels * (res.work // res.kernels - 1) // (q - 1)
+    assert count_naive(2, _cls("1,0,0,0,0")).walked == 0
+
+
+def test_walked_is_in_the_count_record(tmp_path):
+    from dp5.cli import main
+
+    out = tmp_path / "r.json"
+    for workers in ("1", "2"):
+        assert main(["count", "--q", "4", "--class", "2,-2,0,0,0",
+                     "--workers", workers, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["payload"]["walked"] == 3 * 341
+
+
+def test_outer_tables_stay_within_their_entry_bound():
+    from dp5 import count
+
+    # outer degrees (0, 0, 0, 3) at q = 13 and 11 hold 2380 * 2184 and
+    # 1464 * 1320 image entries, (0, 0, 0, 2) at q = 19 381 * 6840; each
+    # count is refused at the kernel gate after its tables were built
+    cases = [(13, "3,-3,0,0,0", 10**7), (11, "3,-3,0,0,0", 6 * 10**6),
+             (19, "2,-2,0,0,0", 6 * 10**6)]
+    held = []
+    for q, text, budget in cases:
+        with pytest.raises(BudgetExceeded, match="kernel enumeration"):
+            count_fast(q, _cls(text), budget=budget)
+        held.append(count._outer_tables.cache_info().entries)
+    assert 2380 * 2184 > count._OUTER_TABLE_ENTRIES
+    # the q = 13 table is never kept, and q = 19's drops every older one
+    assert held == [1, 1464 * 1320 + 2, 381 * 6840 + 1]
+    info = count._outer_tables.cache_info()
+    assert (info.misses, info.currsize) == (6, 2)
+    assert info.entries <= count._OUTER_TABLE_ENTRIES
