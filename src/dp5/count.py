@@ -24,24 +24,19 @@ representatives of a' are enumerated and the outer factor (q-1)^4 is
 restored at the end.
 
 The kernel, an F_q-space of dimension dim, is solved as an F_p-space of
-dimension e*dim (q = p^e).  The six varying forms are packed into one int,
-one lane per base-p digit of each coefficient, and the system is eliminated
-on these packed ints.  The F_p-basis comes in blocks of e vectors, one block
-per free F_q-coefficient: the first vector of a block has that coefficient 1
-and every later free coefficient 0 (see _kernel_coords).  Whether a vector
-is accepted depends only on the zero sets of its six forms, so it is the
-same for every F_q^* multiple, and _projective_walk visits one vector per
-F_q-line, (q^dim - 1)/(q - 1) in all: the first vector of each block plus
-every F_p-combination of the blocks below it, reached by a p-ary Gray code
-that adds one basis vector per step (an XOR at p = 2, a lane-wise add mod p
-otherwise).  _count_inner multiplies its accepted total by q - 1 and checks
-the premise at q > 2 on the first few vectors of every kernel whose six
-forms are nonzero: each must get the verdict of its multiple by a generator
-of F_q^*.  Coprimality is read off root masks: bit 0 is the point at
-infinity, then one bit per monic irreducible, so two forms share a point
-exactly when their masks meet.  A vector is accepted when its six forms are
-nonzero and their masks miss those of the disjoint varying forms;
-coprimality with the outer forms follows (see _count_inner).
+dimension e*dim (q = p^e) on packed ints, one lane per base-p digit of each
+coefficient of the six varying forms.  a13, a14, a12 and a23, which read a1,
+a2 and a3 alone, are eliminated first, once per run of representatives that
+share them.  Acceptance depends only on the zero sets of the six forms, so
+_projective_walk visits one vector per F_q-line by a p-ary Gray code (at p =
+2 an XOR per step inside itertools.accumulate) and _count_inner multiplies
+its accepted total by q - 1, having checked that premise at q > 2 on a few
+vectors of each kernel against their multiples by a generator of F_q^*.
+Coprimality is read off root masks: bit 0 is the point at infinity, then one
+bit per monic irreducible, so two forms share a point exactly when their
+masks meet.  A vector is accepted when its six forms are nonzero and their
+masks miss those of the disjoint varying forms, read a pair of slot groups
+at a time; coprimality with the outer forms follows (see _count_inner).
 
 The kernel count is constant on the orbits of G = PGL2(F_q) x Stab acting on
 normalised coprime quadruples:
@@ -67,20 +62,20 @@ walk reads coprimality off root masks and composes the PGL2 images of a few
 generators (see _orbit_images).  Every kernel has the Riemann-Roch
 dimension _kernel_dim, so the work, len(reps) * q^dim, is checked against
 the budget before any kernel is solved.  The representatives are counted in
-the calling process unless two or more workers are asked for and the work
-reaches _POOL_MIN_WORK; then, being of equal work, they are dealt in turn
-to a process pool.  Each shard solves, checks and walks one representative
-at a time and weights its kernel count by the orbit size.  A kernel of
-another dimension stops the count before it is walked, though earlier
-kernels of its shard may already have been walked.
+the calling process unless two or more workers are asked for and the
+vectors to walk reach _POOL_MIN_WORK; then, being of equal work, they are
+dealt in turn to a process pool.  Each shard solves, checks and walks one
+representative at a time and weights its kernel count by the orbit size.  A
+kernel of another dimension stops the count before it is walked, though
+earlier kernels of its shard may already have been walked.
 
 The tables that depend only on the field and one degree (the monic outer
 forms, their PGL2 images and the root masks) are built once per process, on
 first use after the budget checks, and kept in a bounded cache of
 _TABLE_CACHE entries per kind (_outer_tables, _mask_table); every count at
-that q shares them and none mutates them.  _outer_tables also keeps the
-image entries it holds, forms times group elements summed, within
-_OUTER_TABLE_ENTRIES, dropping the least recently used tables first.
+that q shares them and none mutates them.  Each cache also keeps the
+entries it holds within a bound (_OUTER_TABLE_ENTRIES image entries,
+_MASK_TABLE_ENTRIES masks), dropping the least recently used tables first.
 """
 
 from __future__ import annotations
@@ -88,29 +83,18 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cache, lru_cache, wraps
-from itertools import combinations, zip_longest
+from itertools import accumulate, chain, combinations, zip_longest
 from math import comb, factorial
+from operator import or_, xor
 from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, DP5Error
 from .gf import FieldCtx, field_of_order, prime_power
 from .p1 import (
-    DEFAULT_BUDGET,
-    BinaryForm,
-    divisor_count,
-    form_from_index,
-    irreducibles,
-    pdeg,
-    pgcd,
-    pmul,
+    DEFAULT_BUDGET, BinaryForm, divisor_count, form_from_index, irreducibles, pdeg,
+    pgcd, pmul,
 )
-from .picard import (
-    LINES,
-    CurveClass,
-    chamber_normalize,
-    eff_dual_data,
-    meets,
-)
+from .picard import LINES, CurveClass, chamber_normalize, eff_dual_data, meets
 
 # the ten coordinates (a1, a2, a3, a4, a12, a13, a14, a23, a24, a34), one per
 # line, and the thirty pairs of them indexed by disjoint lines
@@ -334,6 +318,11 @@ def _check_torus(m: int, q: int):
         raise DP5Error(f"torus action is not free: (q-1)^5 does not divide {m}")
 
 
+# the per-(q, degree) tables of _mask_table and _outer_tables are kept for
+# this many (q, degree) pairs each, for the life of the process
+_TABLE_CACHE = 32
+
+
 # the six varying slots, in the order of the packed kernel vectors
 _SLOTS = ("L13", "L24", "L34", "L14", "L23", "L12")
 # complementary lines (L13, L24 and so on) meet and every other pair of slots
@@ -348,12 +337,24 @@ _SYSTEM = (
     ((4, 1, 1), (2, 3, -1), (0, 0, -1)),
     ((5, 0, 1), (4, 2, -1), (1, 3, 1)),
 )
+# _kernel_coords' slot order: a13, a14, a12, a23, which a4 does not feed, first
+_ELIMINATION = (0, 3, 5, 4, 1, 2)
 
 
 def _lane_width(p: int) -> int:
     """Bits per base-p digit: 1 at p = 2, else a sum of two digits plus a
     flag bit."""
     return 1 if p == 2 else (2 * p - 1).bit_length() + 1
+
+
+@cache
+def _lane_constants(p: int, lanes: int):
+    """(K, H) for a lane-wise add mod p over lanes lanes, s - p * (((s + K) &
+    H) >> (w - 1)) for s = x + y: K adds 2^(w-1) - p to each lane, H picks the
+    flag bits, set where a lane reached p."""
+    w = _lane_width(p)
+    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
+    return ones * ((1 << (w - 1)) - p), ones << (w - 1)
 
 
 def _packed_basis(ctx: FieldCtx, vectors):
@@ -375,152 +376,178 @@ def _packed_basis(ctx: FieldCtx, vectors):
     return basis
 
 
-def _kernel_coords(afixed, degs6, packed):
-    """(dim, basis): the solutions of _SYSTEM for the fixed quadruple.
-
-    The unknowns are the base-p digits of the coefficients of the six
-    varying forms, one lane each as _walk reads them, so basis is an
-    F_p-basis of e*dim packed ints for an F_q-kernel of dimension dim.
-    Each unknown is a row: its own lane, and above all those the equation
-    lanes it feeds.  A row is reduced by the pivot row at its highest
-    equation lane until it is a pivot itself or its equation lanes vanish;
-    then it is a kernel vector whose highest lane is its own, so these are
-    independent.  At p = 2 a row operation is one XOR, at odd p a lane-wise
-    add mod p of a scaled pivot row.  degs6 are the slot degrees in _SLOTS
-    order.  packed caches the _packed_basis of each signed outer form by
-    (coeffs, sign); _fast_worker passes one dict for its whole shard.
-
-    The basis comes in blocks of e, one per free F_q-coefficient, which is
-    what _projective_walk relies on.  The unknowns run in the order (slot,
-    coefficient, digit) and the kernel is F_q-linear, so the kernel vectors
-    whose highest nonzero coefficient is a given one form, with zero, an
-    F_q-space of dimension 0 or 1 modulo those below: each coefficient has
-    all e of its digits free or none.  A pivot row only ever holds pivot
-    unknowns besides its own, so each kernel vector is 1 on its own digit
-    and 0 on every other free digit.  The first vector of a block thus has
-    its coefficient equal to 1 and every other free coefficient 0.
-    """
-    ctx = afixed[0].ctx
-    p, e, w = ctx.p, ctx.e, _lane_width(ctx.p)
-    # feeds[s][k]: the equation lanes fed by X^k in the constant coefficient
-    # of slot s; the unknowns' lanes lie below bit top
-    feeds = [[0] * e for _ in degs6]
+@lru_cache(maxsize=_TABLE_CACHE)
+def _system_layout(p: int, e: int, degs6, degs4):
+    """(lanes, top, prefix, base, fourth): _SYSTEM packed over F_(p^e), the
+    unknowns' lanes in (slot, coefficient, digit) order below bit top and
+    the equations' above, lanes in all.  A slot is (own, degree, terms): the
+    bit of its first lane and the (outer form, sign, bit) of each equation
+    it feeds from bit up.  prefix is _ELIMINATION's first four slots, base
+    the other two without their a4 terms and fourth those terms alone."""
+    w = _lane_width(p)
     lanes = e * (sum(degs6) + 6)
-    top = w * lanes
-    for terms in _SYSTEM:
-        for s, i, sign in terms:
-            key = (afixed[i].coeffs, sign)
-            xs = packed.get(key)
-            if xs is None:
-                coeffs = key[0]
-                if sign < 0:
-                    coeffs = [ctx.neg(c) for c in coeffs]
-                xs = packed[key] = _packed_basis(ctx, [coeffs])
-            for k, x in enumerate(xs):
-                feeds[s][k] |= x << w * lanes
-        s, i, _ = terms[0]
-        lanes += e * (afixed[i].d + degs6[s] + 1)
-    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
-    K, H, digit = ones * ((1 << (w - 1)) - p), ones << (w - 1), (1 << w) - 1
+    top, terms = w * lanes, [[] for _ in degs6]
+    for eq in _SYSTEM:
+        for s, i, sign in eq:
+            terms[s].append((i, sign, w * lanes))
+        lanes += e * (degs4[eq[0][1]] + degs6[eq[0][0]] + 1)
+    own = [1 << w * e * (sum(degs6[:s]) + s) for s in range(6)]
+    slots = tuple((own[s], degs6[s], tuple(terms[s])) for s in _ELIMINATION)
+    base = tuple((o, d, tuple(t for t in ts if t[0] < 3)) for o, d, ts in slots[4:])
+    fourth = tuple((0, d, tuple(t for t in ts if t[0] == 3)) for _, d, ts in slots[4:])
+    return lanes, top, slots[:4], base, fourth
 
-    def add(x, y):  # lane-wise mod p, as in _walk
+
+def _kernel_coords(afixed, degs6, cache):
+    """(dim, basis): the solutions of _SYSTEM for the fixed quadruple, an
+    F_p-basis of e*dim packed ints laid out by _system_layout.
+
+    Each unknown is a row, its own lane and the equation lanes it feeds; the
+    rows go slot by slot in _ELIMINATION order, each in (coefficient, digit)
+    order, and _eliminate makes each a pivot or a kernel vector.  A pivot
+    row holds no free unknown but its own, so each kernel vector is 1 on its
+    own digit and 0 on the other free digits.  The kernel is F_q-linear, so
+    the basis comes in blocks of e, one per free coefficient, the first with
+    that coefficient 1 and the other free ones 0, as _projective_walk needs.
+    cache is a dict kept for one shard of one count: each signed outer
+    form's _packed_basis, the rows each a4 feeds, and the pivots and kernel
+    vectors of the first four slots for the last (a1, a2, a3), which alone
+    they read.  The basis is the same whatever it holds."""
+    ctx = afixed[0].ctx
+    e, w = ctx.e, _lane_width(ctx.p)
+
+    def rows(slots):  # coefficient j's are the constant coefficient's, j up
+        out = []
+        for own, d, terms in slots:
+            fed = [own << w * k for k in range(e)]
+            for i, sign, bit in terms:
+                key = (afixed[i].coeffs, sign if ctx.p > 2 else 1)  # -1 = 1 at p = 2
+                xs = cache.get(key) or cache.setdefault(key, _packed_basis(
+                    ctx, [key[0] if sign > 0 else [ctx.neg(c) for c in key[0]]]))
+                for k, x in enumerate(xs):
+                    fed[k] |= x << bit
+            out += [f << j for j in range(0, w * e * (d + 1), w * e) for f in fed]
+        return out
+
+    key = (ctx.q, degs6, afixed[0].coeffs, afixed[1].coeffs, afixed[2].coeffs)
+    prefix = cache.get("prefix")
+    if prefix is None or prefix[0] != key:  # key fixes the degrees layout reads
+        layout = _system_layout(ctx.p, e, degs6, tuple(f.d for f in afixed))
+        pivots, basis = [0] * (layout[0] + 1), []
+        _eliminate(ctx.p, layout, rows(layout[2]), pivots, basis)
+        prefix = cache["prefix"] = key, layout, pivots, basis, rows(layout[3])
+    _, layout, pivots, basis, base = prefix
+    c4 = afixed[3].coeffs
+    fourth = cache.get(c4) or cache.setdefault(c4, rows(layout[4]))
+    pivots, basis = pivots[:], basis[:]
+    _eliminate(ctx.p, layout, map(or_, base, fourth), pivots, basis)
+    return len(basis) // e, basis
+
+
+def _eliminate(p: int, layout, rows, pivots, basis):
+    """Reduce each row by the pivot at its highest equation lane until it
+    is a new pivot or its bits from top up vanish, then append it to basis.
+    pivots (lanes + 1 entries, 0 for none) is keyed by bit length at p = 2,
+    where a row operation is an XOR, and by top lane at odd p."""
+    lanes, top = layout[:2]
+    if p == 2:
+        for r in rows:
+            while (b := r.bit_length()) > top:
+                if not pivots[b]:
+                    pivots[b] = r
+                    break
+                r ^= pivots[b]
+            else:
+                basis.append(r)
+        return
+    w = _lane_width(p)
+    K, H = _lane_constants(p, lanes)
+
+    def add(x, y):  # lane-wise mod p
         s = x + y
         return s - p * (((s + K) & H) >> (w - 1))
 
     def scale(x, c):  # c*x lane-wise for 0 < c < p, by doubling
         y = x
         for bit in bin(c)[3:]:
-            y = add(y, y)
-            if bit == "1":
-                y = add(y, x)
+            y = add(add(y, y), x) if bit == "1" else add(y, y)
         return y
 
-    pivots, basis = {}, []
-    own = 1  # the lane of the current unknown, as a bit
-    for fed, d in zip(feeds, degs6):
-        for j in range(d + 1):
-            for f in fed:
-                r, own = f << w * e * j | own, own << w
-                while r >> top:
-                    b = (r.bit_length() - 1) // w
-                    c = r >> w * b & digit
-                    piv = pivots.get(b)
-                    if piv is None:
-                        pivots[b] = r if c == 1 else scale(r, pow(c, -1, p))
-                        break
-                    r = r ^ piv if p == 2 else add(r, scale(piv, p - c))
-                else:
-                    basis.append(r)
-    return len(basis) // e, basis
+    for r in rows:
+        while r >> top:
+            b = (r.bit_length() - 1) // w
+            c = r >> w * b & (1 << w) - 1
+            if not pivots[b]:
+                pivots[b] = scale(r, pow(c, -1, p))
+                break
+            r = add(r, scale(pivots[b], p - c))
+        else:
+            basis.append(r)
+
+
+# Gray-code rulers of up to this many steps are kept; longer ones repeat one
+_RULER_STEPS = 1 << 12
+
+
+@cache
+def _short_ruler(p: int, n: int) -> bytes:
+    """nu_p(t) for t = 1 .. p^n - 1: the basis index of Gray step t."""
+    if n == 0:
+        return b""
+    r = _short_ruler(p, n - 1)
+    return (r + bytes((n - 1,))) * (p - 1) + r
+
+
+def _ruler(p: int, n: int):
+    """nu_p(t) for t = 1 .. p^n - 1, with the short ruler of b digits
+    repeated past _RULER_STEPS: step k * p^b between repeats is b + nu_p(k)."""
+    b = n
+    while b > 1 and p**b > _RULER_STEPS:
+        b -= 1
+    if b == n:
+        return _short_ruler(p, n)
+    low = _short_ruler(p, b)
+    high = (chain((b + k,), low) for k in _ruler(p, n - b))
+    return chain(low, chain.from_iterable(high))
+
+
+def _gray(p: int, basis, n: int, x: int):
+    """x, then x plus each nonzero F_p-combination of basis[:n] once, by the
+    modular p-ary Gray code: step t adds basis[nu_p(t)], so after it the
+    coordinate on basis[k] is t_k - t_(k+1) mod p in t's base-p digits.  A
+    step is an XOR at p = 2, else a lane-wise add mod p."""
+    steps = map(basis.__getitem__, _ruler(p, n))
+    if p == 2:
+        return accumulate(steps, xor, initial=x)
+    lanes = -(-max(map(int.bit_length, basis), default=0) // _lane_width(p))
+    return _odd_gray(p, steps, x, *_lane_constants(p, lanes))
+
+
+def _odd_gray(p: int, steps, x: int, K: int, H: int):
+    w = _lane_width(p) - 1
+    yield x
+    for y in steps:
+        s = x + y
+        x = s - p * (((s + K) & H) >> w)
+        yield x
 
 
 def _walk(p: int, basis):
-    """Every nonzero F_p-combination of the packed basis, once each.
-
-    Modular p-ary Gray code: step t adds basis[nu_p(t)], so after step t the
-    coordinate on basis[k] is t_k - t_(k+1) mod p in the base-p digits of t,
-    a bijection.  At p = 2 a step is one XOR; at odd p one lane-wise add mod
-    p, where K adds 2^(w-1) - p to every lane and H picks the flag bits of
-    the lanes that reached p.
-    """
-    x = 0
-    if p == 2:
-        for t in range(1, 1 << len(basis)):
-            x ^= basis[(t & -t).bit_length() - 1]
-            yield x
-        return
-    w = _lane_width(p)
-    lanes = -(-max((b.bit_length() for b in basis), default=0) // w)
-    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
-    K, H = ones * ((1 << (w - 1)) - p), ones << (w - 1)
-    for t in range(1, p ** len(basis)):
-        k, n = 0, t
-        while n % p == 0:
-            n //= p
-            k += 1
-        s = x + basis[k]
-        x = s - p * (((s + K) & H) >> (w - 1))
-        yield x
+    """Every nonzero F_p-combination of the packed basis, once each."""
+    walk = _gray(p, basis, len(basis), 0)
+    next(walk)  # zero
+    return walk
 
 
 def _projective_walk(p: int, e: int, basis):
-    """One vector of each F_q-line of the span of a _kernel_coords basis.
-
-    For j = 0, e, 2e, ..., basis[j] plus every F_p-combination of
-    basis[:j], by the Gray steps of _walk: a nonzero kernel vector has a
-    highest free coefficient, in block j/e, and its one multiple with that
-    coefficient 1 is among these.  That is sum of q^(j/e), (q^dim - 1)/(q - 1)
-    vectors for q = p^e.
-    """
-    if p == 2:
-        if e == 1:  # q = 2: every line is one vector, so _walk's one loop
-            x = 0
-            for t in range(1, 1 << len(basis)):
-                x ^= basis[(t & -t).bit_length() - 1]
-                yield x
-            return
-        for j in range(0, len(basis), e):
-            x = basis[j]
-            yield x
-            for t in range(1, 1 << j):
-                x ^= basis[(t & -t).bit_length() - 1]
-                yield x
-        return
-    w = _lane_width(p)
-    lanes = -(-max((b.bit_length() for b in basis), default=0) // w)
-    ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)
-    K, H = ones * ((1 << (w - 1)) - p), ones << (w - 1)
-    for j in range(0, len(basis), e):
-        x = basis[j]
-        yield x
-        for t in range(1, p**j):
-            k, n = 0, t
-            while n % p == 0:
-                n //= p
-                k += 1
-            s = x + basis[k]
-            x = s - p * (((s + K) & H) >> (w - 1))
-            yield x
+    """One vector of each F_q-line of the span of a _kernel_coords basis:
+    for j = 0, e, 2e, ..., basis[j] plus every F_p-combination of basis[:j]
+    (a nonzero kernel vector has one multiple whose last free coefficient
+    is 1), sum of q^(j/e) = (q^dim - 1)/(q - 1) vectors; at q = 2, _walk."""
+    if p == 2 and e == 1:
+        return _walk(2, basis)
+    blocks = (_gray(p, basis, j, basis[j]) for j in range(0, len(basis), e))
+    return chain.from_iterable(blocks)
 
 
 @cache
@@ -543,46 +570,6 @@ def _times_generator(ctx: FieldCtx, x: int, coeffs: int) -> int:
     width = _lane_width(ctx.p) * ctx.e
     lanes = (1 << width) - 1
     return sum(table[x >> s & lanes] << s for s in range(0, coeffs * width, width))
-
-
-# the per-(q, degree) tables of _mask_table and _outer_tables are kept for
-# this many (q, degree) pairs each, for the life of the process
-_TABLE_CACHE = 32
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _mask_table(q: int, d: int):
-    """The root mask of each packed nonzero form of degree d over F_q.
-
-    Bit 0 is the point at infinity, the form t, then one bit per monic
-    irreducible in p1.irreducibles order, so every table numbers the points
-    as a prefix of one order and tables of any degrees and counts combine.
-    The table is built by walking the multiples pi*g of each point pi of
-    degree <= d.  It is shared by every count at q and must not be mutated.
-    """
-    ctx = field_of_order(q)
-    table = {}
-    if d == 0:  # the nonzero constants have no points
-        table.update((key, 0) for key in _walk(ctx.p, _packed_basis(ctx, [(1,)])))
-        return table
-    for bit, pi in enumerate([(1, 0)] + irreducibles(ctx, d)):
-        k = len(pi) - 1
-        shifts = [(0,) * j + pi + (0,) * (d - k - j) for j in range(d - k + 1)]
-        for key in _walk(ctx.p, _packed_basis(ctx, shifts)):
-            table[key] = table.get(key, 0) | 1 << bit
-    return table
-
-
-def _root_masks(ctx: FieldCtx, degrees):
-    """Root-mask tables for the slot degrees of one count: tables[d] maps
-    each packed nonzero form of degree d to its root mask.  Each is the
-    _mask_table of (q, d), built once per process and shared, read-only."""
-    return {d: _mask_table(ctx.q, d) for d in set(degrees)}
-
-
-# _outer_tables keeps no more image entries than this, len(forms) times the
-# columns of a row summed over its tables: about 9 bytes each, so about 38 MB
-_OUTER_TABLE_ENTRIES = 1 << 22
 
 
 class _CacheInfo(NamedTuple):
@@ -631,6 +618,43 @@ def _lru_within(entries, size):
         return cached
 
     return wrap
+
+
+# _outer_tables and _mask_table keep no more entries than these, summed over
+# their tables: image entries (len(forms) times the columns of a row) of
+# about 9 bytes, so about 38 MB, and masks of 110-140 bytes, so 30-37 MB
+_OUTER_TABLE_ENTRIES = 1 << 22
+_MASK_TABLE_ENTRIES = 1 << 18
+
+
+@_lru_within(_MASK_TABLE_ENTRIES, len)
+def _mask_table(q: int, d: int):
+    """The root mask of each packed nonzero form of degree d over F_q.
+
+    Bit 0 is the point at infinity, the form t, then one bit per monic
+    irreducible in p1.irreducibles order, so every table numbers the points
+    as a prefix of one order and tables of any degrees and counts combine.
+    The table is built by walking the multiples pi*g of each point pi of
+    degree <= d.  It is shared by every count at q and must not be mutated.
+    """
+    ctx = field_of_order(q)
+    table = {}
+    if d == 0:  # the nonzero constants have no points
+        table.update((key, 0) for key in _walk(ctx.p, _packed_basis(ctx, [(1,)])))
+        return table
+    for bit, pi in enumerate([(1, 0)] + irreducibles(ctx, d)):
+        k = len(pi) - 1
+        shifts = [(0,) * j + pi + (0,) * (d - k - j) for j in range(d - k + 1)]
+        for key in _walk(ctx.p, _packed_basis(ctx, shifts)):
+            table[key] = table.get(key, 0) | 1 << bit
+    return table
+
+
+def _root_masks(ctx: FieldCtx, degrees):
+    """Root-mask tables for the slot degrees of one count: tables[d] maps
+    each packed nonzero form of degree d to its root mask.  Each is the
+    _mask_table of (q, d), built once per process and shared, read-only."""
+    return {d: _mask_table(ctx.q, d) for d in set(degrees)}
 
 
 @_lru_within(_OUTER_TABLE_ENTRIES, lambda tables: len(tables[1]) * len(tables[1][0]))
@@ -697,19 +721,28 @@ def _scaling_checked(ctx: FieldCtx, walk, order, coeffs: int) -> int:
     return accepted
 
 
+@lru_cache(maxsize=_TABLE_CACHE)
+def _slot_layout(p: int, e: int, degs6):
+    """(shift, key mask, degree) of each slot of a packed kernel vector over
+    F_(p^e), in _SLOT_GROUPS order."""
+    ends = [0, *accumulate(_lane_width(p) * e * (d + 1) for d in degs6)]
+    slots = [(a, (1 << b - a) - 1, d) for a, b, d in zip(ends, ends[1:], degs6)]
+    return tuple(slots[s] for group in _SLOT_GROUPS for s in group)
+
+
 def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     """Accepted kernel vectors for the fixed quadruple, and the q^dim they
     are drawn from.
 
     vectors is the packed F_p-basis of _kernel_coords; masks is
     _root_masks(ctx, degs6).  A vector is accepted when its six slots are
-    nonzero and share no point with the slots of the other two groups.
-    That depends only on the zero sets of the slots, which an F_q^* multiple
-    keeps, so _projective_walk visits one vector per F_q-line and the
-    accepted lines count q - 1 vectors each.  At q > 2 _scaling_checked
-    first compares vectors with their multiples by ctx.generator: only
-    vectors with six nonzero slots, as the multiples of the others have the
-    same zero slot whatever the masks say.
+    nonzero and share no point with the slots of the other two groups, so
+    an F_q^* multiple gets its verdict: _projective_walk visits one vector
+    per F_q-line, and each accepted line counts q - 1.  At q > 2
+    _scaling_checked first compares vectors with six nonzero slots with
+    their multiples by ctx.generator.  Slots are read one at a time and a
+    vector is rejected once two of different groups meet, mostly before the
+    third group is read; a zero slot is a KeyError, re-raised if none is.
 
     The outer forms a1..a4 need no test: let a point divide a_i and a_jk,
     i not in {j, k}, and let s be the fourth index.  Relation P_j is
@@ -717,29 +750,35 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     a_s is coprime to a_i, so it divides a_js, and L_jk, L_js are disjoint
     slots, which the walk rejects.
     """
-    slots = []  # (shift, key mask, table) per slot
-    shift = 0
-    for d in degs6:
-        width = _lane_width(ctx.p) * ctx.e * (d + 1)
-        slots.append((shift, (1 << width) - 1, masks[d]))
-        shift += width
-    # in _SLOT_GROUPS order, so the groups are k0 k1, k2 k3 and k4 k5 below;
-    # slot 0 comes first and lies at shift 0
-    order = [slots[s] for group in _SLOT_GROUPS for s in group]
-    (_, m0, t0), (s1, m1, t1), (s2, m2, t2) = order[:3]
-    (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = order[3:]
+    layout = _slot_layout(ctx.p, ctx.e, degs6)
+    # groups 0 1, 2 3 and 4 5; slot 0 is at shift 0 and none above slot 3, L12
+    (_, m0, d0), (s1, m1, d1), (s2, m2, d2) = layout[:3]
+    (s3, m3, d3), (s4, m4, d4), (s5, m5, d5) = layout[3:]
+    t0, t1, t2, t3, t4, t5 = map(masks.__getitem__, (d0, d1, d2, d3, d4, d5))
 
     walk = _projective_walk(ctx.p, ctx.e, vectors)
     # the check reads the slots in a function of its own: a closure here
     # would make the loop's locals cells, which slows it at every q
-    accepted = _scaling_checked(ctx, walk, order, sum(degs6) + 6) if ctx.q > 2 else 0
+    accepted = 0 if ctx.q == 2 else _scaling_checked(
+        ctx, walk, [(s, m, masks[d]) for s, m, d in layout], sum(degs6) + 6)
     for x in walk:
-        k0, k1, k2 = x & m0, x >> s1 & m1, x >> s2 & m2
-        k3, k4, k5 = x >> s3 & m3, x >> s4 & m4, x >> s5 & m5
-        if not (k0 and k1 and k2 and k3 and k4 and k5):
+        try:
+            g, h = t0[x & m0], t3[x >> s3]
+            if g & h:
+                continue
+            h |= t2[x >> s2 & m2]
+            if g & h:
+                continue
+            g |= t1[x >> s1 & m1]
+            if g & h:
+                continue
+            k = t4[x >> s4 & m4] | t5[x >> s5 & m5]
+        except KeyError:
+            if (x & m0 and x >> s1 & m1 and x >> s2 & m2 and x >> s3 & m3
+                    and x >> s4 & m4 and x >> s5 & m5):
+                raise
             continue
-        g, h, k = t0[k0] | t1[k1], t2[k2] | t3[k3], t4[k4] | t5[k5]
-        if g & h or g & k or h & k:
+        if g & k or h & k:
             continue
         accepted += 1
     return accepted * (ctx.q - 1), ctx.p ** len(vectors)
@@ -845,19 +884,19 @@ def _fast_worker(args):
     """Count one shard: args is (q, pairings, reps), reps a share of
     _orbit_reps.  Each representative's kernel is solved, checked to have
     dimension _kernel_dim (DP5Error naming h1 > 0 if not) and walked before
-    the next one is solved, so no list of bases is kept.  Returns the
-    accepted vectors weighted by orbit size."""
+    the next one is solved, with one _kernel_coords cache and one BinaryForm
+    per outer form.  Returns the accepted vectors weighted by orbit size."""
     q, pairings, reps = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
-    degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
     degs6 = tuple(dd[name] for name in _SLOTS)
     want = _kernel_dim(dd)
     masks = _root_masks(ctx, degs6)
-    total, packed = 0, {}
+    total, cache = 0, {}
+    forms = {c: BinaryForm(ctx, len(c) - 1, c) for c in {c for r in reps for c in r[0]}}
     for coeffs, size, _ in reps:
-        afixed = tuple(BinaryForm(ctx, d, c) for d, c in zip(degs, coeffs))
-        dim, basis = _kernel_coords(afixed, degs6, packed)
+        afixed = tuple(map(forms.__getitem__, coeffs))
+        dim, basis = _kernel_coords(afixed, degs6, cache)
         if dim != want:
             raise DP5Error(f"kernel dimension {dim} != {want} over {coeffs}: h1 > 0")
         total += _count_inner(ctx, degs6, basis, masks)[0] * size
@@ -906,8 +945,9 @@ def count_fast(
     work = len(reps) * q ** _kernel_dim(dd)
     if work > budget:
         raise BudgetExceeded(f"kernel enumeration needs {work} > budget {budget}")
+    walked = len(reps) * (q ** _kernel_dim(dd) - 1) // (q - 1)
     shards = min(workers, len(reps))
-    if shards > 1 and work >= _POOL_MIN_WORK:
+    if shards > 1 and walked >= _POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
         jobs = [(q, pairings, reps[i::shards]) for i in range(shards)]
@@ -918,18 +958,8 @@ def count_fast(
     m = total * (q - 1) ** 4
     _check_torus(m, q)
     return CountResult(
-        q,
-        alpha,
-        dd0.as_tuple(),
-        dd0.d,
-        m,
-        m // (q - 1) ** 5,
-        "fast",
-        work,
-        sum(size for _, size, _ in reps),
-        sum(n for _, _, n in reps),
-        len(reps),
-        len(reps) * (q ** _kernel_dim(dd) - 1) // (q - 1),
+        q, alpha, dd0.as_tuple(), dd0.d, m, m // (q - 1) ** 5, "fast", work,
+        sum(size for _, size, _ in reps), sum(n for _, _, n in reps), len(reps), walked,
     )
 
 
