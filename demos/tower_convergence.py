@@ -2,8 +2,10 @@
 
 Counts degree-5m curves in the anticanonical multiples -mK over F_2 and
 compares hom / q^(d+2) with the certified constant.  At q = 2, m = 1..4
-take tens of milliseconds together, but m = 4 grows fast with q (at q = 3
-it did not finish in two minutes), so it is only included with --full.
+take tens of milliseconds together, but m = 4 grows fast with q, so it is
+only included with --full: at q = 3 it walks 38.65 M vectors in 35 362
+kernels and gives hom = 2 235 366 360 in about 35 s with one worker on a
+2-vCPU x86-64 guest.
 """
 
 import argparse

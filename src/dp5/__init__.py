@@ -55,4 +55,5 @@ __all__ = [
     "projective_line",
     "scale",
     "sweep",
+    "witt_exponents",
 ]

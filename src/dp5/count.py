@@ -60,14 +60,14 @@ are skipped when the walk reaches them.  The members marked but not yet
 reached are among the tuples the walk visits, which the budget bounds.  The
 walk reads coprimality off root masks and composes the PGL2 images of a few
 generators (see _orbit_images).  Every kernel has the Riemann-Roch
-dimension _kernel_dim, so the work, len(reps) * q^dim, is checked against
-the budget before any kernel is solved.  The representatives are counted in
-the calling process unless two or more workers are asked for and the
-vectors to walk reach _POOL_MIN_WORK; then, being of equal work, they are
-dealt in turn to a process pool.  Each shard solves, checks and walks one
-representative at a time and weights its kernel count by the orbit size.  A
-kernel of another dimension stops the count before it is walked, though
-earlier kernels of its shard may already have been walked.
+dimension _kernel_dim, so plan_count checks the work, len(reps) * q^dim,
+against the budget before any kernel is solved; count_fast counts its
+representatives in the calling process unless two or more workers are
+asked for and the vectors to walk reach _POOL_MIN_WORK; then, being of equal
+work, they are dealt in turn to a process pool.  Each shard solves, checks
+and walks one representative at a time and weights its kernel count by the
+orbit size.  A kernel of another dimension stops the count before it is
+walked, though earlier kernels of its shard may already have been walked.
 
 The tables that depend only on the field and one degree (the monic outer
 forms, their PGL2 images and the root masks) are built once per process, on
@@ -799,7 +799,7 @@ def _orbit_reps(q: int, pairings):
     size, pgl2_orbits): the four forms as coefficient tuples, |G.t|, and the
     number of PGL2 orbits inside G.t, which is |G.t| / |PGL2.t|.  The forms,
     images and masks of each degree come from _outer_tables, built once per
-    process in a bounded cache; count_fast checks their budget first.
+    process in a bounded cache; plan_count checks their budget first.
     """
     dd = dict(zip(LINES, pairings))
     degs = (dd["E1"], dd["E2"], dd["E3"], dd["E4"])
@@ -903,20 +903,26 @@ def _fast_worker(args):
     return total
 
 
-def count_fast(
-    q: int,
-    alpha: CurveClass,
-    workers: int = 1,
-    budget: Optional[int] = None,
-) -> CountResult:
-    """Count via the torsor parameterization with the quadruple fixed.
+class CountPlan(NamedTuple):
+    """A fast count whose gates have passed: the class as given, with the
+    pairings and degree its CountResult reports, the chamber pairings the
+    walk reads, _orbit_reps' representatives, the work and the vectors to
+    walk, len(reps) * q^dim and len(reps) * (q^dim - 1)/(q - 1)."""
+    q: int
+    alpha: CurveClass
+    pairings: tuple
+    degree: int
+    chamber_pairings: tuple
+    reps: list
+    work: int
+    walked: int
 
-    The class is first moved to the fundamental chamber (the count is
-    invariant under the 120 symmetries), so the outer quadruple runs over
-    the smallest degrees available.  Raises ValueError for workers < 1 or
-    a negative budget.
-    """
-    _check_workers(workers)
+
+def plan_count(q: int, alpha: CurveClass, budget: Optional[int] = None) -> CountPlan:
+    """count_fast's gates, in its order and with its messages, then its
+    orbit representatives; no kernel is solved or walked.  Raises
+    BudgetExceeded at the first gate the budget does not cover and
+    ValueError for a budget that is negative or not an integer."""
     alpha = CurveClass(*alpha)
     dd0 = eff_dual_data(alpha)
     prime_power(q)
@@ -942,10 +948,30 @@ def count_fast(
         raise BudgetExceeded(f"root-mask tables need {roots} > budget {budget}")
 
     reps = _orbit_reps(q, pairings)
-    work = len(reps) * q ** _kernel_dim(dd)
+    q_dim = q ** _kernel_dim(dd)
+    work = len(reps) * q_dim
     if work > budget:
         raise BudgetExceeded(f"kernel enumeration needs {work} > budget {budget}")
-    walked = len(reps) * (q ** _kernel_dim(dd) - 1) // (q - 1)
+    walked = len(reps) * (q_dim - 1) // (q - 1)
+    return CountPlan(q, alpha, dd0.as_tuple(), dd0.d, pairings, reps, work, walked)
+
+
+def count_fast(
+    q: int,
+    alpha: CurveClass,
+    workers: int = 1,
+    budget: Optional[int] = None,
+) -> CountResult:
+    """Count via the torsor parameterization with the quadruple fixed.
+
+    The class is first moved to the fundamental chamber (the count is
+    invariant under the 120 symmetries), so the outer quadruple runs over
+    the smallest degrees available.  Raises ValueError for workers < 1 or
+    a negative budget.  plan_count runs every gate; this walks its plan.
+    """
+    _check_workers(workers)
+    plan = plan_count(q, alpha, budget)
+    pairings, reps, work, walked = plan[4:]
     shards = min(workers, len(reps))
     if shards > 1 and walked >= _POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
@@ -958,9 +984,8 @@ def count_fast(
     m = total * (q - 1) ** 4
     _check_torus(m, q)
     return CountResult(
-        q, alpha, dd0.as_tuple(), dd0.d, m, m // (q - 1) ** 5, "fast", work,
-        sum(size for _, size, _ in reps), sum(n for _, _, n in reps), len(reps), walked,
-    )
+        *plan[:4], m, m // (q - 1) ** 5, "fast", work,
+        sum(size for _, size, _ in reps), sum(n for _, _, n in reps), len(reps), walked)
 
 
 # -- sweeps --------------------------------------------------------------------
