@@ -30,8 +30,9 @@ a2 and a3 alone, are eliminated first, once per run of representatives that
 share them.  Acceptance depends only on the zero sets of the six forms, so
 _projective_walk visits one vector per F_q-line by a p-ary Gray code (at p =
 2 an XOR per step inside itertools.accumulate) and _count_inner multiplies
-its accepted total by q - 1, having checked that premise at q > 2 on a few
-vectors of each kernel against their multiples by a generator of F_q^*.
+its accepted total by q - 1.  At q > 2 each shard checks that premise once,
+before any kernel is solved, on every key of its slot tables: a form and its
+multiple by a generator of F_q^* must get one root mask (_check_scaling).
 Coprimality is read off root masks: bit 0 is the point at infinity, then one
 bit per monic irreducible, so two forms share a point exactly when their
 masks meet.  A vector is accepted when its six forms are nonzero and their
@@ -677,48 +678,18 @@ def _outer_tables(q: int, d: int):
     return forms, images, tuple(table[k] for k in keys)
 
 
-# at q > 2 the first this many vectors of each kernel's projective walk whose
-# six slots are nonzero are checked to get the verdict of their multiple by a
-# generator of F_q^*
-_SCALING_CHECKS = 4
-
-
-def _scaling_checked(ctx: FieldCtx, walk, order, coeffs: int) -> int:
-    """Draw vectors from walk until _SCALING_CHECKS with six nonzero slots
-    have had the verdict of their multiple by ctx.generator; DP5Error if
-    one has not.  Returns how many of the drawn vectors are accepted.
-
-    order holds (shift, key mask, root-mask table) per slot in _SLOT_GROUPS
-    order, as _count_inner builds it; coeffs is the number of coefficients
-    packed in a vector.
-    """
-    (s0, m0, t0), (s1, m1, t1), (s2, m2, t2) = order[:3]
-    (s3, m3, t3), (s4, m4, t4), (s5, m5, t5) = order[3:]
-
-    def verdict(x):  # _count_inner's, or None for a zero slot
-        k0, k1, k2 = x >> s0 & m0, x >> s1 & m1, x >> s2 & m2
-        k3, k4, k5 = x >> s3 & m3, x >> s4 & m4, x >> s5 & m5
-        if not (k0 and k1 and k2 and k3 and k4 and k5):
-            return None
-        g, h, k = t0[k0] | t1[k1], t2[k2] | t3[k3], t4[k4] | t5[k5]
-        return not (g & h or g & k or h & k)
-
-    accepted = checked = 0
-    for x in walk:
-        ok = verdict(x)
-        if ok is None:
-            continue
-        if verdict(_times_generator(ctx, x, coeffs)) is not ok:
-            raise DP5Error(
-                f"a kernel vector and its multiple by {ctx.generator} get "
-                f"different verdicts over F_{ctx.q}: acceptance is not "
-                "invariant under scaling"
-            )
-        accepted += ok
-        checked += 1
-        if checked == _SCALING_CHECKS:
-            break
-    return accepted
+def _check_scaling(ctx: FieldCtx, masks):
+    """DP5Error unless each form in the root-mask tables masks, {d: table},
+    has the mask of its multiple by ctx.generator.  The generator spans
+    F_q^*, so then every F_q^* multiple of a kernel vector gets its verdict."""
+    for d, table in masks.items():
+        for key, mask in table.items():
+            if table.get(_times_generator(ctx, key, d + 1)) != mask:
+                raise DP5Error(
+                    f"a form of degree {d} and its multiple by {ctx.generator} "
+                    f"get different root masks over F_{ctx.q}: acceptance is "
+                    "not invariant under scaling"
+                )
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -738,11 +709,11 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     _root_masks(ctx, degs6).  A vector is accepted when its six slots are
     nonzero and share no point with the slots of the other two groups, so
     an F_q^* multiple gets its verdict: _projective_walk visits one vector
-    per F_q-line, and each accepted line counts q - 1.  At q > 2
-    _scaling_checked first compares vectors with six nonzero slots with
-    their multiples by ctx.generator.  Slots are read one at a time and a
-    vector is rejected once two of different groups meet, mostly before the
-    third group is read; a zero slot is a KeyError, re-raised if none is.
+    per F_q-line, and each accepted line counts q - 1; at q > 2 the shard
+    has checked that premise on every key of masks (_check_scaling) before
+    solving any kernel.  Slots are read one at a time and a vector is
+    rejected once two of different groups meet, mostly before the third
+    group is read; a zero slot is a KeyError, re-raised if none is.
 
     The outer forms a1..a4 need no test: let a point divide a_i and a_jk,
     i not in {j, k}, and let s be the fourth index.  Relation P_j is
@@ -756,12 +727,8 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     (s3, m3, d3), (s4, m4, d4), (s5, m5, d5) = layout[3:]
     t0, t1, t2, t3, t4, t5 = map(masks.__getitem__, (d0, d1, d2, d3, d4, d5))
 
-    walk = _projective_walk(ctx.p, ctx.e, vectors)
-    # the check reads the slots in a function of its own: a closure here
-    # would make the loop's locals cells, which slows it at every q
-    accepted = 0 if ctx.q == 2 else _scaling_checked(
-        ctx, walk, [(s, m, masks[d]) for s, m, d in layout], sum(degs6) + 6)
-    for x in walk:
+    accepted = 0
+    for x in _projective_walk(ctx.p, ctx.e, vectors):
         try:
             g, h = t0[x & m0], t3[x >> s3]
             if g & h:
@@ -885,13 +852,16 @@ def _fast_worker(args):
     _orbit_reps.  Each representative's kernel is solved, checked to have
     dimension _kernel_dim (DP5Error naming h1 > 0 if not) and walked before
     the next one is solved, with one _kernel_coords cache and one BinaryForm
-    per outer form.  Returns the accepted vectors weighted by orbit size."""
+    per outer form.  At q > 2 _check_scaling first scans the shard's slot
+    tables.  Returns the accepted vectors weighted by orbit size."""
     q, pairings, reps = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs6 = tuple(dd[name] for name in _SLOTS)
     want = _kernel_dim(dd)
     masks = _root_masks(ctx, degs6)
+    if q > 2:
+        _check_scaling(ctx, masks)
     total, cache = 0, {}
     forms = {c: BinaryForm(ctx, len(c) - 1, c) for c in {c for r in reps for c in r[0]}}
     for coeffs, size, _ in reps:

@@ -1111,14 +1111,12 @@ def _first_kernel(q, alpha):
 
 def _break_scaling(q, text):
     """Give the generator multiple g*f of one slot form f a root mask that
-    meets another group, where f lies in an accepted vector among the first
-    that count_fast checks for (q, text); f keeps its mask."""
-    from dp5 import count
+    meets another group, where f lies in the first accepted vector of the
+    first kernel count_fast walks for (q, text); f keeps its mask."""
     from dp5.count import _SLOT_GROUPS, _mask_table, _packed_basis, _projective_walk
 
     ctx, degs6, basis = _first_kernel(q, _cls(text))
     tables = {d: _mask_table(q, d) for d in degs6}
-    checked = 0
     for x in _projective_walk(ctx.p, ctx.e, basis):
         forms = _unpack(ctx, x, degs6)
         if not all(any(f) for f in forms):
@@ -1128,8 +1126,7 @@ def _break_scaling(q, text):
         group = [masks[a] | masks[b] for a, b in _SLOT_GROUPS]
         if not (group[0] & group[1] or group[0] & group[2] or group[1] & group[2]):
             break
-        checked += 1
-    assert checked < count._SCALING_CHECKS and group[1] | group[2]
+    assert group[1] | group[2]
     scaled = tuple(ctx.mul(ctx.generator, c) for c in forms[0])
     key = _packed_basis(ctx, [scaled])[0]
     assert key != keys[0]
@@ -1169,6 +1166,29 @@ def test_scaling_check_survives_python_O():
                          capture_output=True, text=True)
     assert out.returncode == 1, out.stderr
     assert "not invariant under scaling" in out.stderr
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 16])
+def test_scaling_check_finds_one_broken_key_anywhere(q):
+    from dp5.cli import main
+    from dp5.count import _mask_table, _packed_basis, _projective_walk
+    from dp5.errors import DP5Error
+
+    # (1,-1,0,0,0) has one kernel and slot degrees (1, 0, 0, 0, 1, 1); the
+    # key broken is in no slot of the walk's first four vectors with six
+    # nonzero slots, nor of their multiples by the generator, so a check
+    # that samples the head of the walk misses it
+    ctx, degs6, basis = _first_kernel(q, _cls("1,-1,0,0,0"))
+    walk = (_unpack(ctx, x, degs6) for x in _projective_walk(ctx.p, ctx.e, basis))
+    head = [forms for forms in walk if all(map(any, forms))][:4]
+    drawn = {_packed_basis(ctx, [[ctx.mul(a, c) for c in f]])[0]
+             for forms in head for f in forms if len(f) == 2 for a in (1, ctx.generator)}
+    table = _mask_table(q, 1)
+    key = next(k for k in table if k not in drawn)
+    table[key] ^= 1
+    with pytest.raises(DP5Error, match="not invariant under scaling"):
+        count_fast(q, _cls("1,-1,0,0,0"))
+    assert main(["count", "--q", str(q), "--class", "1,-1,0,0,0"]) == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
