@@ -105,21 +105,9 @@ def cmd_count(args) -> tuple[int, dict, dict]:
     print(f"hom_count = {res.hom}")
     print(f"m_count = {res.m_count}")
     print(f"ratio hom/q^(d+2) = {float(ratio)!r}  (d = {res.degree})")
-    payload = {
-        "q": res.q,
-        "class": list(res.alpha),
-        "pairings": list(res.pairings),
-        "d": res.degree,
-        "m_count": res.m_count,
-        "hom_count": res.hom,
-        "method": res.method,
-        "work": res.work,
-        "quadruples": res.quadruples,
-        "orbits": res.orbits,
-        "kernels": res.kernels,
-        "walked": res.walked,
-        "ratio": float(ratio),
-    }
+    renamed = {"alpha": "class", "degree": "d", "hom": "hom_count"}
+    payload = {renamed.get(k, k): v for k, v in res._asdict().items()}
+    payload["ratio"] = float(ratio)
     if args.format == "csv":
         from .constants import leading_constant_direct
 

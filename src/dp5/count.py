@@ -30,9 +30,9 @@ a2 and a3 alone, are eliminated first, once per run of representatives that
 share them.  Acceptance depends only on the zero sets of the six forms, so
 _projective_walk visits one vector per F_q-line by a p-ary Gray code (at p =
 2 an XOR per step inside itertools.accumulate) and _count_inner multiplies
-its accepted total by q - 1.  At q > 2 each shard checks that premise once,
-before any kernel is solved, on every key of its slot tables: a form and its
-multiple by a generator of F_q^* must get one root mask (_check_scaling).
+its accepted total by q - 1.  At q > 2 _check_scaling checks that premise
+once per shard, before any kernel is solved: walked in step, each nonzero
+slot form and its multiple by a generator of F_q^* must get one root mask.
 Coprimality is read off root masks: bit 0 is the point at infinity, then one
 bit per monic irreducible, so two forms share a point exactly when their
 masks meet.  A vector is accepted when its six forms are nonzero and their
@@ -551,28 +551,6 @@ def _projective_walk(p: int, e: int, basis):
     return chain.from_iterable(blocks)
 
 
-@cache
-def _generator_lanes(q: int):
-    """{c: generator * c} over F_q for each coefficient c packed in its e
-    lanes: the base-p digits of c, low digit first, as _packed_basis packs
-    them, multiplied by ctx.mul."""
-    ctx = field_of_order(q)
-    p, w = ctx.p, _lane_width(ctx.p)
-
-    def pack(c):
-        return sum((c // p**k % p) << w * k for k in range(ctx.e))
-
-    return {pack(c): pack(ctx.mul(ctx.generator, c)) for c in range(q)}
-
-
-def _times_generator(ctx: FieldCtx, x: int, coeffs: int) -> int:
-    """The packed vector x, of coeffs F_q-coefficients, times ctx.generator."""
-    table = _generator_lanes(ctx.q)
-    width = _lane_width(ctx.p) * ctx.e
-    lanes = (1 << width) - 1
-    return sum(table[x >> s & lanes] << s for s in range(0, coeffs * width, width))
-
-
 class _CacheInfo(NamedTuple):
     hits: int
     misses: int
@@ -628,6 +606,17 @@ _OUTER_TABLE_ENTRIES = 1 << 22
 _MASK_TABLE_ENTRIES = 1 << 18
 
 
+@lru_cache(maxsize=_TABLE_CACHE)
+def _unit_bases(q: int, d: int):
+    """The _packed_basis of the unit forms of degree d over F_q and that of
+    their multiples by the generator g: g is F_p-linear, so a _walk over
+    each visits every nonzero form f and g*f in step."""
+    ctx = field_of_order(q)
+    basis = _packed_basis(ctx, [(0,) * j + (c,) + (0,) * (d - j)
+                                for c in (1, ctx.generator) for j in range(d + 1)])
+    return tuple(basis[: ctx.e * (d + 1)]), tuple(basis[ctx.e * (d + 1):])
+
+
 @_lru_within(_MASK_TABLE_ENTRIES, len)
 def _mask_table(q: int, d: int):
     """The root mask of each packed nonzero form of degree d over F_q.
@@ -635,19 +624,17 @@ def _mask_table(q: int, d: int):
     Bit 0 is the point at infinity, the form t, then one bit per monic
     irreducible in p1.irreducibles order, so every table numbers the points
     as a prefix of one order and tables of any degrees and counts combine.
-    The table is built by walking the multiples pi*g of each point pi of
-    degree <= d.  It is shared by every count at q and must not be mutated.
+    Every nonzero form, walked over _unit_bases, starts at 0; then the
+    multiples pi*g of each point pi of degree <= d get its bit.  The table
+    is shared by every count at q and must not be mutated.
     """
     ctx = field_of_order(q)
-    table = {}
-    if d == 0:  # the nonzero constants have no points
-        table.update((key, 0) for key in _walk(ctx.p, _packed_basis(ctx, [(1,)])))
-        return table
+    table = dict.fromkeys(_walk(ctx.p, _unit_bases(q, d)[0]), 0)
     for bit, pi in enumerate([(1, 0)] + irreducibles(ctx, d)):
         k = len(pi) - 1
         shifts = [(0,) * j + pi + (0,) * (d - k - j) for j in range(d - k + 1)]
         for key in _walk(ctx.p, _packed_basis(ctx, shifts)):
-            table[key] = table.get(key, 0) | 1 << bit
+            table[key] |= 1 << bit
     return table
 
 
@@ -679,12 +666,13 @@ def _outer_tables(q: int, d: int):
 
 
 def _check_scaling(ctx: FieldCtx, masks):
-    """DP5Error unless each form in the root-mask tables masks, {d: table},
-    has the mask of its multiple by ctx.generator.  The generator spans
-    F_q^*, so then every F_q^* multiple of a kernel vector gets its verdict."""
+    """DP5Error unless each nonzero form f of a root-mask table in masks,
+    {d: table}, has the mask of g*f, walked in step over _unit_bases; g =
+    ctx.generator spans F_q^*, so every multiple of a vector gets its verdict."""
     for d, table in masks.items():
-        for key, mask in table.items():
-            if table.get(_times_generator(ctx, key, d + 1)) != mask:
+        basis, scaled = _unit_bases(ctx.q, d)
+        for f, gf in zip(_walk(ctx.p, basis), _walk(ctx.p, scaled)):
+            if table.get(f) != table.get(gf):
                 raise DP5Error(
                     f"a form of degree {d} and its multiple by {ctx.generator} "
                     f"get different root masks over F_{ctx.q}: acceptance is "
@@ -710,8 +698,8 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     nonzero and share no point with the slots of the other two groups, so
     an F_q^* multiple gets its verdict: _projective_walk visits one vector
     per F_q-line, and each accepted line counts q - 1; at q > 2 the shard
-    has checked that premise on every key of masks (_check_scaling) before
-    solving any kernel.  Slots are read one at a time and a vector is
+    has first checked each form of masks against its generator multiple
+    (_check_scaling).  Slots are read one at a time and a vector is
     rejected once two of different groups meet, mostly before the third
     group is read; a zero slot is a KeyError, re-raised if none is.
 
@@ -852,8 +840,9 @@ def _fast_worker(args):
     _orbit_reps.  Each representative's kernel is solved, checked to have
     dimension _kernel_dim (DP5Error naming h1 > 0 if not) and walked before
     the next one is solved, with one _kernel_coords cache and one BinaryForm
-    per outer form.  At q > 2 _check_scaling first scans the shard's slot
-    tables.  Returns the accepted vectors weighted by orbit size."""
+    per outer form.  At q > 2 _check_scaling first walks the slot forms in
+    step with their generator multiples.  Returns the accepted vectors
+    weighted by orbit size."""
     q, pairings, reps = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
@@ -941,21 +930,22 @@ def count_fast(
     """
     _check_workers(workers)
     plan = plan_count(q, alpha, budget)
-    pairings, reps, work, walked = plan[4:]
+    reps = plan.reps
     shards = min(workers, len(reps))
-    if shards > 1 and walked >= _POOL_MIN_WORK:
+    if shards > 1 and plan.walked >= _POOL_MIN_WORK:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(q, pairings, reps[i::shards]) for i in range(shards)]
+        jobs = [(q, plan.chamber_pairings, reps[i::shards]) for i in range(shards)]
         with ProcessPoolExecutor(max_workers=shards) as pool:
             total = sum(pool.map(_fast_worker, jobs))
     else:
-        total = _fast_worker((q, pairings, reps))
+        total = _fast_worker((q, plan.chamber_pairings, reps))
     m = total * (q - 1) ** 4
     _check_torus(m, q)
     return CountResult(
-        *plan[:4], m, m // (q - 1) ** 5, "fast", work,
-        sum(size for _, size, _ in reps), sum(n for _, _, n in reps), len(reps), walked)
+        q, plan.alpha, plan.pairings, plan.degree, m, m // (q - 1) ** 5, "fast",
+        plan.work, sum(size for _, size, _ in reps), sum(n for _, _, n in reps),
+        len(reps), plan.walked)
 
 
 # -- sweeps --------------------------------------------------------------------

@@ -1191,6 +1191,43 @@ def test_scaling_check_finds_one_broken_key_anywhere(q):
     assert main(["count", "--q", str(q), "--class", "1,-1,0,0,0"]) == 1
 
 
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 16])
+def test_unit_bases_walk_each_form_in_step_with_its_generator_multiple(q, d):
+    from dp5.count import _mask_table, _packed_basis, _unit_bases, _walk
+    from dp5.gf import field_of_order
+
+    ctx = field_of_order(q)
+    basis, scaled = _unit_bases(q, d)
+    forms, multiples = list(_walk(ctx.p, basis)), list(_walk(ctx.p, scaled))
+    assert len(forms) == len(set(forms)) == len(multiples) == q ** (d + 1) - 1
+    assert set(forms) == set(_mask_table(q, d))
+    for f, gf in zip(forms, multiples):
+        (coeffs,) = _unpack(ctx, f, (d,))
+        scaled_coeffs = [ctx.mul(ctx.generator, c) for c in coeffs]
+        assert gf == _packed_basis(ctx, [scaled_coeffs])[0], (q, d, coeffs)
+
+
+@pytest.mark.parametrize("d", [0, 2])
+@pytest.mark.parametrize("q", [3, 9])
+def test_scaling_check_fires_on_a_broken_degree_0_or_2_table(q, d):
+    from dp5.cli import main
+    from dp5.count import _check_scaling, _packed_basis, _root_masks
+    from dp5.errors import DP5Error
+    from dp5.gf import field_of_order
+
+    # (2,-2,0,0,0) has slot degrees (2, 0, 0, 0, 2, 2); the form broken, g
+    # times the first unit form, is not monic, so no outer table reads it
+    ctx = field_of_order(q)
+    masks = _root_masks(ctx, (0, 2))
+    _check_scaling(ctx, masks)
+    key = _packed_basis(ctx, [(ctx.generator,) + (0,) * d])[0]
+    masks[d][key] ^= 1
+    with pytest.raises(DP5Error, match=f"degree {d} .* not invariant under scaling"):
+        count_fast(q, _cls("2,-2,0,0,0"))
+    assert main(["count", "--q", str(q), "--class", "2,-2,0,0,0"]) == 1
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_projective_walk_visits_one_vector_per_line(q):
     from dp5.count import _packed_basis, _projective_walk, _walk
