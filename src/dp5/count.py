@@ -35,9 +35,9 @@ once per shard, before any kernel is solved: walked in step, each nonzero
 slot form and its multiple by a generator of F_q^* must get one root mask.
 Coprimality is read off root masks: bit 0 is the point at infinity, then one
 bit per monic irreducible, so two forms share a point exactly when their
-masks meet.  A vector is accepted when its six forms are nonzero and their
-masks miss those of the disjoint varying forms, read a pair of slot groups
-at a time; coprimality with the outer forms follows (see _count_inner).
+masks meet.  A vector is accepted when its six forms are nonzero and the
+masks of A = (a13, a24) miss those of B = (a34, a12); coprimality of every
+other disjoint pair follows from P1-P4 (the lemma of _count_inner).
 
 The kernel count is constant on the orbits of G = PGL2(F_q) x Stab acting on
 normalised coprime quadruples:
@@ -327,7 +327,8 @@ _TABLE_CACHE = 32
 # the six varying slots, in the order of the packed kernel vectors
 _SLOTS = ("L13", "L24", "L34", "L14", "L23", "L12")
 # complementary lines (L13, L24 and so on) meet and every other pair of slots
-# is disjoint, so the twelve slot pairs are the cross pairs of these groups
+# is disjoint: the twelve slot pairs are the cross pairs of groups A, B and
+# C, which the four A-B pairs decide (the lemma of _count_inner)
 _SLOT_GROUPS = ((0, 1), (2, 5), (3, 4))
 # the linear system of the kernel, one (slot, outer form, sign) per term:
 #   P4: a1*a14 - a2*a24 + a3*a34 = 0
@@ -695,25 +696,28 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
 
     vectors is the packed F_p-basis of _kernel_coords; masks is
     _root_masks(ctx, degs6).  A vector is accepted when its six slots are
-    nonzero and share no point with the slots of the other two groups, so
+    nonzero and groups A = (L13, L24) and B = (L34, L12) share no point, so
     an F_q^* multiple gets its verdict: _projective_walk visits one vector
     per F_q-line, and each accepted line counts q - 1; at q > 2 the shard
     has first checked each form of masks against its generator multiple
-    (_check_scaling).  Slots are read one at a time and a vector is
-    rejected once two of different groups meet, mostly before the third
-    group is read; a zero slot is a KeyError, re-raised if none is.
+    (_check_scaling).  A and B are read a slot at a time, rejecting once
+    they meet; a zero slot among them is a KeyError, re-raised if none is.
+    C = (L14, L23) is only tested for zero, by this lemma.
 
-    The outer forms a1..a4 need no test: let a point divide a_i and a_jk,
-    i not in {j, k}, and let s be the fourth index.  Relation P_j is
-    +-a_i*a_ij +- a_k*a_jk +- a_s*a_js = 0, so the point divides a_s*a_js;
-    a_s is coprime to a_i, so it divides a_js, and L_jk, L_js are disjoint
-    slots, which the walk rejects.
+    Let a1..a4 be pairwise coprime and the slots solve P1-P4, P_i: +-a_j*a_ij
+    +- a_k*a_ik +- a_l*a_il = 0 for {i, j, k, l} = {1..4}.  If a point x
+    divides a_ij and a_ik, P_i puts it on a_l*a_il: on a_il, or on a_l, so
+    not on a_k, and P_j puts it on a_k*a_jk, so on a_jk.  x divides a star
+    (a_ij, a_ik, a_il) or a triangle (a_ij, a_ik, a_jk), one slot of each
+    group, so the twelve disjoint slot pairs are coprime exactly when the
+    four between A and B are.  If x divides a_l and a_ij, l not in {i, j},
+    P_i puts it on a_ik, so the outer forms need no test either.
     """
     layout = _slot_layout(ctx.p, ctx.e, degs6)
-    # groups 0 1, 2 3 and 4 5; slot 0 is at shift 0 and none above slot 3, L12
-    (_, m0, d0), (s1, m1, d1), (s2, m2, d2) = layout[:3]
-    (s3, m3, d3), (s4, m4, d4), (s5, m5, d5) = layout[3:]
-    t0, t1, t2, t3, t4, t5 = map(masks.__getitem__, (d0, d1, d2, d3, d4, d5))
+    # A is slots 0 1, B 2 3, C 4 5; slot 0 is at shift 0, none above slot 3
+    (_, m0, d0), (s1, m1, d1), (s2, m2, d2), (s3, _, d3) = layout[:4]
+    (s4, m4, _), (s5, m5, _) = layout[4:]
+    t0, t1, t2, t3 = map(masks.__getitem__, (d0, d1, d2, d3))
 
     accepted = 0
     for x in _projective_walk(ctx.p, ctx.e, vectors):
@@ -722,20 +726,14 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
             if g & h:
                 continue
             h |= t2[x >> s2 & m2]
-            if g & h:
+            if g & h or t1[x >> s1 & m1] & h:
                 continue
-            g |= t1[x >> s1 & m1]
-            if g & h:
-                continue
-            k = t4[x >> s4 & m4] | t5[x >> s5 & m5]
         except KeyError:
-            if (x & m0 and x >> s1 & m1 and x >> s2 & m2 and x >> s3 & m3
-                    and x >> s4 & m4 and x >> s5 & m5):
+            if x & m0 and x >> s1 & m1 and x >> s2 & m2 and x >> s3:
                 raise
             continue
-        if g & k or h & k:
-            continue
-        accepted += 1
+        if x >> s4 & m4 and x >> s5 & m5:
+            accepted += 1
     return accepted * (ctx.q - 1), ctx.p ** len(vectors)
 
 

@@ -435,3 +435,14 @@ def test_dp5_budget_variable_is_checked(monkeypatch, capsys):
 def test_zero_budget_is_a_refusal_not_invalid_input():
     assert main(["count", "--q", "2", "--class", "1,-1,0,0,0",
                  "--budget", "0"]) == 3
+
+
+def test_sweep_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("1,0,0,0,0\n2,-1,-1,-1,0\n")
+    assert main(["sweep", "--q", "2", "--classes", str(classes)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    rows = list(csv.DictReader(lines))
+    assert [(r["class"], r["hom_count"]) for r in rows] == [("1,0,0,0,0", "6"),
+                                                            ("2,-1,-1,-1,0", "6")]

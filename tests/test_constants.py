@@ -473,3 +473,11 @@ def test_grid_rounds_like_fraction_round_and_ceil():
         up = _Grid(bits)
         up.add_up(*parts)
         assert up.rad == math.ceil(sum(Fraction(n, d) for n, d in parts) * step)
+
+
+@pytest.mark.parametrize("constant", [leading_constant_direct, leading_constant_zeta])
+def test_constants_refuse_a_zero_radius_and_a_curve_over_another_field(constant):
+    with pytest.raises(ValueError, match="target radius must be positive, got 0"):
+        constant(5, target_radius=0)
+    with pytest.raises(ValueError, match="curve is over F_7, not F_5"):
+        constant(5, curve=projective_line(7))

@@ -177,3 +177,8 @@ def test_prime_power_checks_the_cap_before_factoring():
     # a prime near 1e14 would take seconds of trial division
     with pytest.raises(TooLarge):
         prime_power(10**14 + 31)
+
+
+def test_zero_to_a_negative_power_is_a_division_by_zero():
+    with pytest.raises(DivisionByZero, match="0 to a negative power"):
+        field_of_order(5).pow(0, -1)

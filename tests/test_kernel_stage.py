@@ -164,3 +164,65 @@ def test_mask_table_cache_counts_its_entries():
     assert info.currsize == len(degrees)
     assert info.entries == sum(3 ** (d + 1) - 1 for d in degrees)
     assert info.entries <= count._MASK_TABLE_ENTRIES
+
+
+# the vectors walked per kernel and the kernels per class in the lemma test
+_LEMMA_VECTORS = 4000
+_LEMMA_KERNELS = 3
+
+
+def _coprime_quadruples(ctx, degs, rng):
+    """Pairwise coprime (a1, a2, a3, a4) of degrees degs with their root
+    masks, drawn at random with nonzero coefficient vectors."""
+    while True:
+        forms, masks = [], []
+        for d in degs:
+            coeffs = [0] * (d + 1)
+            while not any(coeffs):
+                coeffs = [rng.randrange(ctx.q) for _ in range(d + 1)]
+            forms.append(BinaryForm(ctx, d, tuple(coeffs)))
+            masks.append(count._mask_table(ctx.q, d)[count._packed_basis(ctx, [coeffs])[0]])
+        if not any(masks[i] & masks[j] for i in range(4) for j in range(i)):
+            yield tuple(forms), masks
+
+
+@pytest.mark.parametrize("q", [7, 8, 16])
+def test_groups_a_and_b_decide_coprimality_of_every_disjoint_pair(q):
+    # the lemma of _count_inner, vector by vector on real kernels: with six
+    # nonzero slots, A = (L13, L24) misses B = (L34, L12) exactly when the
+    # twelve disjoint slot pairs, and the twelve outer-slot pairs, are coprime
+    import random
+    from itertools import accumulate, islice
+
+    from dp5.picard import meets
+
+    slots = count._SLOTS
+    slot_pairs = [(i, j) for i in range(6) for j in range(i) if not meets(slots[i], slots[j])]
+    outer_pairs = [(k, s) for k in range(4) for s in range(6)
+                   if not meets(f"E{k + 1}", slots[s])]
+    assert len(slot_pairs) == len(outer_pairs) == 12
+    a_slots = [slots.index(n) for n in ("L13", "L24")]
+    b_slots = [slots.index(n) for n in ("L34", "L12")]
+    ctx, rng = field_of_order(q), random.Random(q)
+    width = count._lane_width(ctx.p) * ctx.e
+    sides = {True: 0, False: 0}
+    for text in ("3,-1,-1,-1,-1", "1,-1,0,0,0", "2,0,0,0,0", "4,-2,-1,-1,-1"):
+        dd = chamber_normalize(_cls(text))[2]
+        degs6 = tuple(dd[name] for name in slots)
+        tables = [count._mask_table(q, d) for d in degs6]
+        ends = [0, *accumulate(width * (d + 1) for d in degs6)]
+        quads = _coprime_quadruples(ctx, [dd[f"E{i}"] for i in (1, 2, 3, 4)], rng)
+        for afixed, outer in islice(quads, _LEMMA_KERNELS):
+            dim, basis = count._kernel_coords(afixed, degs6, {})
+            assert dim == count._kernel_dim(dd), (q, text)
+            for x in islice(count._projective_walk(ctx.p, ctx.e, basis), _LEMMA_VECTORS):
+                keys = [x >> a & (1 << b - a) - 1 for a, b in zip(ends, ends[1:])]
+                if not all(keys):
+                    continue
+                m = [t[k] for t, k in zip(tables, keys)]
+                a_misses_b = not any(m[i] & m[j] for i in a_slots for j in b_slots)
+                slots_coprime = not any(m[i] & m[j] for i, j in slot_pairs)
+                all_coprime = slots_coprime and not any(outer[k] & m[s] for k, s in outer_pairs)
+                assert a_misses_b == slots_coprime == all_coprime, (q, text, x)
+                sides[a_misses_b] += 1
+    assert sides[True] and sides[False], sides

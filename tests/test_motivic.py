@@ -283,3 +283,15 @@ def test_input_checks_raise_value_error_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_series_refuse_bad_orders_and_operands():
+    s = SeriesL(3, (1, 2))
+    with pytest.raises(ValueError, match="truncation order must be >= 1"):
+        SeriesL(0, ())
+    with pytest.raises(TypeError, match="cannot combine SeriesL with int"):
+        s + 1
+    with pytest.raises(ValueError, match=r"u -> u\^0 needs k >= 1"):
+        s.substitute(0)
+    with pytest.raises(ValueError, match=r"cannot truncate O\(u\^3\) to O\(u\^5\)"):
+        s.truncate(5)

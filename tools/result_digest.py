@@ -1,0 +1,107 @@
+"""One sha256 over the results of a fixed list of counts.
+
+    python3 tools/result_digest.py [--expect SHA]
+
+Runs from the root of a dp5 checkout against the sources in its src/dp5,
+with the standard library only.  Each case is a count_fast call; its result
+becomes one JSON line, CountResult._asdict(), or {"refused": type,
+"message": text} when it raises a DP5Error or a ValueError.  The cases:
+
+- ten classes at q in {2, 3, 4, 5, 7, 8, 9, 16}, less those in SLOW;
+- the anticanonical tower at q = 2, m = 1..5, and -2K at q = 3, 4, 5;
+- budgets 0, 1, 10, ..., 10^5 on four classes, so that each of plan_count's
+  gates refuses at least once;
+- three counts with 1 and 2 workers, once as is and once with the pool gate
+  _POOL_MIN_WORK at 0.
+
+DP5_BUDGET is removed from the environment first, so every count without a
+budget of its own runs at the default.  Prints the number of lines and their
+sha256; with --expect SHA exits 1 unless the sha256 is SHA.  Run it at two
+commits to check that a change keeps every count, budget verdict and refusal
+message; lines() gives the lines themselves, to find one that differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from dp5 import count  # noqa: E402
+from dp5.errors import DP5Error  # noqa: E402
+from dp5.picard import CurveClass  # noqa: E402
+
+FIELDS = (2, 3, 4, 5, 7, 8, 9, 16)
+CLASSES = (
+    "0,0,0,0,0", "1,0,0,0,0", "1,-1,0,0,0", "2,0,0,0,0", "2,-1,-1,0,0",
+    "2,-2,0,0,0", "2,-1,-1,-1,0", "3,-1,-1,-1,-1", "3,-2,-1,0,0", "4,-2,-1,-1,-1",
+)
+# (q, class) pairs of the grid above that take over about a second each
+SLOW = {(7, "2,0,0,0,0"), (8, "2,0,0,0,0"), (9, "2,0,0,0,0"),
+        (16, "3,-2,-1,0,0"), (16, "4,-2,-1,-1,-1")}
+BUDGETS = (0,) + tuple(10**k for k in range(6))
+BUDGET_CASES = ((3, "2,0,0,0,0"), (5, "2,-1,-1,0,0"), (4, "3,-1,-1,-1,-1"),
+                (2, "2,-2,0,0,0"))
+POOL_CASES = ((2, "15,-5,-5,-5,-5"), (5, "6,-2,-2,-2,-2"), (4, "2,-2,0,0,0"))
+
+
+def _class(text: str):
+    return CurveClass(*(int(x) for x in text.split(",")))
+
+
+def _line(q: int, text: str, **kwargs) -> str:
+    try:
+        record = count.count_fast(q, _class(text), **kwargs)._asdict()
+    except (DP5Error, ValueError) as err:
+        record = {"refused": type(err).__name__, "message": str(err)}
+    return json.dumps(record, sort_keys=True)
+
+
+def lines():
+    """The JSON line of every case, in order, with DP5_BUDGET unset."""
+    os.environ.pop("DP5_BUDGET", None)
+    for q in FIELDS:
+        for text in CLASSES:
+            if (q, text) not in SLOW:
+                yield _line(q, text)
+    for m in range(1, 6):
+        yield _line(2, f"{3 * m},{-m},{-m},{-m},{-m}")
+    for q in (3, 4, 5):
+        yield _line(q, "6,-2,-2,-2,-2")
+    for q, text in BUDGET_CASES:
+        for budget in BUDGETS:
+            yield _line(q, text, budget=budget)
+    gate = count._POOL_MIN_WORK
+    try:
+        for min_work in (gate, 0):
+            count._POOL_MIN_WORK = min_work
+            for q, text in POOL_CASES:
+                for workers in (1, 2):
+                    yield _line(q, text, workers=workers)
+    finally:
+        count._POOL_MIN_WORK = gate
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", metavar="SHA", help="exit 1 unless the sha256 is SHA")
+    args = parser.parse_args(argv)
+    digest, n = hashlib.sha256(), 0
+    for line in lines():
+        digest.update(line.encode() + b"\n")
+        n += 1
+    sha = digest.hexdigest()
+    print(f"{n} lines, sha256 {sha}")
+    if args.expect is not None and sha != args.expect:
+        print(f"expected sha256 {args.expect}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
