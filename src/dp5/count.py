@@ -31,8 +31,8 @@ share them.  Acceptance depends only on the zero sets of the six forms, so
 _projective_walk visits one vector per F_q-line by a p-ary Gray code (at p =
 2 an XOR per step inside itertools.accumulate) and _count_inner multiplies
 its accepted total by q - 1.  At q > 2 _check_scaling checks that premise
-once per shard, before any kernel is solved: walked in step, each nonzero
-slot form and its multiple by a generator of F_q^* must get one root mask.
+once per shard, before any kernel is solved: each nonzero form of the slot
+degrees of A and B and its multiple by a generator of F_q^* share a mask.
 Coprimality is read off root masks: bit 0 is the point at infinity, then one
 bit per monic irreducible, so two forms share a point exactly when their
 masks meet.  A vector is accepted when its six forms are nonzero and the
@@ -326,10 +326,11 @@ _TABLE_CACHE = 32
 
 # the six varying slots, in the order of the packed kernel vectors
 _SLOTS = ("L13", "L24", "L34", "L14", "L23", "L12")
-# complementary lines (L13, L24 and so on) meet and every other pair of slots
-# is disjoint: the twelve slot pairs are the cross pairs of groups A, B and
-# C, which the four A-B pairs decide (the lemma of _count_inner)
+# complementary lines (L13, L24 and so on) meet, every other slot pair is
+# disjoint: the cross pairs of groups A, B and C, which the four A-B pairs
+# decide (the lemma of _count_inner), so only A and B's degrees get masks
 _SLOT_GROUPS = ((0, 1), (2, 5), (3, 4))
+_AB_SLOTS = tuple(_SLOTS[s] for s in _SLOT_GROUPS[0] + _SLOT_GROUPS[1])
 # the linear system of the kernel, one (slot, outer form, sign) per term:
 #   P4: a1*a14 - a2*a24 + a3*a34 = 0
 #   P3: a2*a23 - a4*a34 - a1*a13 = 0
@@ -694,15 +695,15 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     """Accepted kernel vectors for the fixed quadruple, and the q^dim they
     are drawn from.
 
-    vectors is the packed F_p-basis of _kernel_coords; masks is
-    _root_masks(ctx, degs6).  A vector is accepted when its six slots are
-    nonzero and groups A = (L13, L24) and B = (L34, L12) share no point, so
-    an F_q^* multiple gets its verdict: _projective_walk visits one vector
-    per F_q-line, and each accepted line counts q - 1; at q > 2 the shard
-    has first checked each form of masks against its generator multiple
-    (_check_scaling).  A and B are read a slot at a time, rejecting once
-    they meet; a zero slot among them is a KeyError, re-raised if none is.
-    C = (L14, L23) is only tested for zero, by this lemma.
+    vectors is the packed F_p-basis of _kernel_coords, masks the _root_masks
+    of the slot degrees of A and B.  A vector is accepted when its six
+    slots are nonzero and groups A = (L13, L24) and B = (L34, L12) share no
+    point, so an F_q^* multiple gets its verdict: _projective_walk visits
+    one vector per F_q-line, and each accepted line counts q - 1; at q > 2
+    the shard has first checked each form of masks against its generator
+    multiple (_check_scaling).  A and B are read a slot at a time, rejecting
+    once they meet; a zero slot among them is a KeyError, re-raised if none
+    is.  C = (L14, L23) is only tested for zero, by this lemma.
 
     Let a1..a4 be pairwise coprime and the slots solve P1-P4, P_i: +-a_j*a_ij
     +- a_k*a_ik +- a_l*a_il = 0 for {i, j, k, l} = {1..4}.  If a point x
@@ -838,15 +839,15 @@ def _fast_worker(args):
     _orbit_reps.  Each representative's kernel is solved, checked to have
     dimension _kernel_dim (DP5Error naming h1 > 0 if not) and walked before
     the next one is solved, with one _kernel_coords cache and one BinaryForm
-    per outer form.  At q > 2 _check_scaling first walks the slot forms in
-    step with their generator multiples.  Returns the accepted vectors
-    weighted by orbit size."""
+    per outer form.  At q > 2 _check_scaling first walks the forms of the
+    slot degrees of A and B in step with their generator multiples.
+    Returns the accepted vectors weighted by orbit size."""
     q, pairings, reps = args
     ctx = field_of_order(q)
     dd = dict(zip(LINES, pairings))
     degs6 = tuple(dd[name] for name in _SLOTS)
     want = _kernel_dim(dd)
-    masks = _root_masks(ctx, degs6)
+    masks = _root_masks(ctx, [dd[name] for name in _AB_SLOTS])
     if q > 2:
         _check_scaling(ctx, masks)
     total, cache = 0, {}
@@ -898,9 +899,9 @@ def plan_count(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Count
         tables = q * (q * q - 1) * sum(divisor_count(q, d) for d in set(degs))
         if tables > budget:
             raise BudgetExceeded(f"orbit tables need {tables} > budget {budget}")
-    # _orbit_reps' outer root-mask tables hold sum q^(d+1) entries: at most
-    # the orbit tables above, or q <= roots below when all four degrees are 0
-    roots = sum(q ** (d + 1) for d in {dd[name] for name in _SLOTS})
+    # sum q^(d+1) mask entries over the slot degrees of A and B; _orbit_reps'
+    # outer ones fit the orbit tables above, or q <= roots if all degrees are 0
+    roots = sum(q ** (d + 1) for d in {dd[name] for name in _AB_SLOTS})
     if roots > budget:
         raise BudgetExceeded(f"root-mask tables need {roots} > budget {budget}")
 

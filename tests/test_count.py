@@ -66,6 +66,8 @@ def test_naive_equals_fast_on_small_classes():
         (2, "2,-1,-1,-1,0"),
         (3, "1,-1,0,0,0"),
         (3, "1,0,0,0,0"),
+        # slot degrees (4, 1, 1, 2, 3, 4): degrees 2 and 3 are C's alone
+        (2, "5,-3,-1,-1,0"),
     ]
     for q, text in cases:
         alpha = _cls(text)
@@ -1226,6 +1228,24 @@ def test_scaling_check_fires_on_a_broken_degree_0_or_2_table(q, d):
     with pytest.raises(DP5Error, match=f"degree {d} .* not invariant under scaling"):
         count_fast(q, _cls("2,-2,0,0,0"))
     assert main(["count", "--q", str(q), "--class", "2,-2,0,0,0"]) == 1
+
+
+def test_only_the_slot_degrees_of_a_and_b_get_mask_tables(monkeypatch):
+    from dp5 import count
+
+    # (5,-3,-1,-1,0) has slot degrees (4, 1, 1, 2, 3, 4) and outer degrees
+    # (0, 1, 1, 3): A and B have degrees 1 and 4, and degree 2 is C's alone
+    real, checked = count._check_scaling, []
+
+    def check(ctx, masks):
+        checked.append(sorted(masks))
+        return real(ctx, masks)
+
+    monkeypatch.setattr(count, "_check_scaling", check)
+    assert count_fast(3, _cls("5,-3,-1,-1,0")).hom == 77880
+    assert checked == [[1, 4]]
+    # tables of degrees 0, 1, 3 (outer) and 4: none of degree 2 is built
+    assert count._mask_table.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

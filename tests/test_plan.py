@@ -70,6 +70,8 @@ GATES = [
     (4, ANTICANONICAL, 299, "orbit tables need 300 > budget 299"),
     (1024, CurveClass(0, 0, 0, 0, 0), 1023, "root-mask tables need 1024 > budget 1023"),
     (4, _cls("2,-2,0,0,0"), 3071, "kernel enumeration needs 3072 > budget 3071"),
+    # slot degrees (5, 3, 3, 4, 4, 5): degree 4 is C's alone and gets no table
+    (2, _cls("6,-2,-1,-1,0"), 79, "root-mask tables need 80 > budget 79"),
 ]
 
 

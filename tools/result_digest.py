@@ -12,7 +12,11 @@ becomes one JSON line, CountResult._asdict(), or {"refused": type,
 - budgets 0, 1, 10, ..., 10^5 on four classes, so that each of plan_count's
   gates refuses at least once;
 - three counts with 1 and 2 workers, once as is and once with the pool gate
-  _POOL_MIN_WORK at 0.
+  _POOL_MIN_WORK at 0;
+- classes with a slot degree that only the third slot group C has, so no
+  root-mask table is built or budgeted for it: (5,-3,-1,-1,0) at q = 2, 3,
+  4, and (6,-2,-1,-1,0) at q = 2 with budgets 79 and 100, one below and
+  above its root-mask gate.
 
 DP5_BUDGET is removed from the environment first, so every count without a
 budget of its own runs at the default.  Prints the number of lines and their
@@ -48,6 +52,12 @@ BUDGETS = (0,) + tuple(10**k for k in range(6))
 BUDGET_CASES = ((3, "2,0,0,0,0"), (5, "2,-1,-1,0,0"), (4, "3,-1,-1,-1,-1"),
                 (2, "2,-2,0,0,0"))
 POOL_CASES = ((2, "15,-5,-5,-5,-5"), (5, "6,-2,-2,-2,-2"), (4, "2,-2,0,0,0"))
+# (q, class, budget): C alone has the slot degrees 2 and 3 of the first
+# class, (4, 1, 1, 2, 3, 4) in _SLOTS order, and 4 of the second, (5, 3, 3,
+# 4, 4, 5)
+C_ONLY_CASES = ((2, "5,-3,-1,-1,0", None), (3, "5,-3,-1,-1,0", None),
+                (4, "5,-3,-1,-1,0", None), (2, "6,-2,-1,-1,0", 79),
+                (2, "6,-2,-1,-1,0", 100))
 
 
 def _class(text: str):
@@ -85,6 +95,8 @@ def lines():
                     yield _line(q, text, workers=workers)
     finally:
         count._POOL_MIN_WORK = gate
+    for q, text, budget in C_ONLY_CASES:
+        yield _line(q, text, budget=budget)
 
 
 def main(argv=None) -> int:
