@@ -144,8 +144,6 @@ def _twist_rows(ctx: FieldCtx, conds, dpp, m: int):
     offs = [0, sizes[0], sizes[0] + sizes[1]]
     ncols = sum(sizes)
     rows = []
-    if ncols == 0:
-        return sizes, offs, 0, rows
     for zf, zinf, terms in conds:
         dw = terms[0][2] + dpp[terms[0][0]] + m
         if any(md + dpp[b] + m != dw for b, mc, md, sgn in terms):

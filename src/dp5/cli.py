@@ -358,10 +358,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        # refuse a missing output directory before any work is done
-        for path in (getattr(args, "record", None), getattr(args, "out", None)):
-            if path and not os.path.isdir(os.path.dirname(path) or "."):
+        # refuse an output path that cannot be written before any work is done
+        paths = [p for p in (getattr(args, "record", None), getattr(args, "out", None))
+                 if p]
+        for path in paths:
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(f"no directory for output file {path}")
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output file {path} is a directory")
+        if len({os.path.realpath(p) for p in paths}) < len(paths):
+            raise ValueError(f"--out and --record are the same file {paths[0]}")
         code, params, payload = args.func(args)
         if getattr(args, "record", None):
             _write_record(args.record, args.cmd, params, payload, t0)

@@ -368,8 +368,6 @@ def leading_constant_zeta(
         grid.add_up(tail_bound(kk))
         for k in range(2, kk + 1):
             ek = e[k]
-            if ek == 0:
-                continue
             # log Z = log P(t) - log(1-t) - log(1-qt) at t = q^-k, summed
             # exactly over the lcm of the three series denominators
             pa = sum(c * q ** (k * (2 * g - j)) for j, c in enumerate(weil) if j)

@@ -30,9 +30,9 @@ a2 and a3 alone, are eliminated first, once per run of representatives that
 share them.  Acceptance depends only on the zero sets of the six forms, so
 _projective_walk visits one vector per F_q-line by a p-ary Gray code (at p =
 2 an XOR per step inside itertools.accumulate) and _count_inner multiplies
-its accepted total by q - 1.  At q > 2 _check_scaling checks that premise
-once per shard, before any kernel is solved: each nonzero form of the slot
-degrees of A and B and its multiple by a generator of F_q^* share a mask.
+its accepted total by q - 1.  _check_scaling checks that premise once per
+shard, before any kernel is solved: each nonzero form of the slot degrees
+of A and B and its multiple by a generator of F_q^* share a mask.
 Coprimality is read off root masks: bit 0 is the point at infinity, then one
 bit per monic irreducible, so two forms share a point exactly when their
 masks meet.  A vector is accepted when its six forms are nonzero and the
@@ -699,11 +699,11 @@ def _count_inner(ctx: FieldCtx, degs6, vectors, masks):
     of the slot degrees of A and B.  A vector is accepted when its six
     slots are nonzero and groups A = (L13, L24) and B = (L34, L12) share no
     point, so an F_q^* multiple gets its verdict: _projective_walk visits
-    one vector per F_q-line, and each accepted line counts q - 1; at q > 2
-    the shard has first checked each form of masks against its generator
-    multiple (_check_scaling).  A and B are read a slot at a time, rejecting
-    once they meet; a zero slot among them is a KeyError, re-raised if none
-    is.  C = (L14, L23) is only tested for zero, by this lemma.
+    one vector per F_q-line, and each accepted line counts q - 1; the shard
+    has first checked each form of masks against its generator multiple
+    (_check_scaling).  A and B are read a slot at a time, rejecting once
+    they meet; a zero slot among them is a KeyError, re-raised if none is.
+    C = (L14, L23) is only tested for zero, by this lemma.
 
     Let a1..a4 be pairwise coprime and the slots solve P1-P4, P_i: +-a_j*a_ij
     +- a_k*a_ik +- a_l*a_il = 0 for {i, j, k, l} = {1..4}.  If a point x
@@ -822,10 +822,10 @@ def _arrangements(t, runs) -> int:
     return n
 
 
-# a process pool starts only for this many kernel vectors or more: about 50
-# times its start-up and teardown (11.5 ms for two workers, measured on a
-# 2-vCPU x86-64 guest) at the walk rate measured there (0.24-0.62 M
-# vectors/s, 0.45 M typical), so a pool costs about 2 % of the walk it spreads
+# a process pool starts only for this many kernel vectors or more.  Its
+# start-up and teardown take 11.5 ms for two workers on a 2-vCPU x86-64
+# guest; at the walk's 0.74-2.55 M vectors/s there that is 3-12 % of the
+# walk at the gate, which was set when the walk ran at 0.24-0.62 M/s
 _POOL_MIN_WORK = 250_000
 
 
@@ -839,8 +839,8 @@ def _fast_worker(args):
     _orbit_reps.  Each representative's kernel is solved, checked to have
     dimension _kernel_dim (DP5Error naming h1 > 0 if not) and walked before
     the next one is solved, with one _kernel_coords cache and one BinaryForm
-    per outer form.  At q > 2 _check_scaling first walks the forms of the
-    slot degrees of A and B in step with their generator multiples.
+    per outer form.  _check_scaling first walks the forms of the slot
+    degrees of A and B in step with their generator multiples.
     Returns the accepted vectors weighted by orbit size."""
     q, pairings, reps = args
     ctx = field_of_order(q)
@@ -848,8 +848,7 @@ def _fast_worker(args):
     degs6 = tuple(dd[name] for name in _SLOTS)
     want = _kernel_dim(dd)
     masks = _root_masks(ctx, [dd[name] for name in _AB_SLOTS])
-    if q > 2:
-        _check_scaling(ctx, masks)
+    _check_scaling(ctx, masks)
     total, cache = 0, {}
     forms = {c: BinaryForm(ctx, len(c) - 1, c) for c in {c for r in reps for c in r[0]}}
     for coeffs, size, _ in reps:

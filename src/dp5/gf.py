@@ -74,8 +74,6 @@ def pstrip(c):
 
 
 def _pmul(a, b, p):
-    if not a or not b:
-        return ()
     r = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -106,12 +104,9 @@ def _digits(n: int, p: int, k: int) -> list:
 
 
 def _irreducible(f, p) -> bool:
-    """Trial division by all monic polys of degree <= deg(f)//2."""
+    """Trial division of monic f, deg(f) >= 1, by all monic polys of degree
+    <= deg(f)//2, x first."""
     d = len(f) - 1
-    if d == 1:
-        return True
-    if d < 1 or f[0] == 0:
-        return False
     for deg in range(1, d // 2 + 1):
         for idx in range(p**deg):
             if not _pmod(f, tuple(_digits(idx, p, deg)) + (1,), p):
@@ -121,11 +116,9 @@ def _irreducible(f, p) -> bool:
 
 def _smallest_modulus(p: int, e: int):
     """Lex-smallest monic irreducible of degree e (coeffs low-to-high)."""
-    if e == 1:
-        return (0, 1)
     for idx in range(p**e):
         f = tuple(_digits(idx, p, e)) + (1,)
-        if f[0] != 0 and _irreducible(f, p):
+        if _irreducible(f, p):
             return f
     raise DP5Error("no irreducible found")  # unreachable for prime p
 
@@ -189,7 +182,7 @@ class FieldCtx:
     def _build_tables(self):
         p, q = self.p, self.q
         # generator of the unit group, found by order checks via raw pow
-        fac = prime_factors(q - 1) if q > 2 else []
+        fac = prime_factors(q - 1)
 
         def raw_pow(a, n):
             r, b = 1, a

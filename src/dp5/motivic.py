@@ -127,8 +127,6 @@ class SeriesL:
 
     def pow(self, e: int):
         n = self.trunc
-        if e == 0:
-            return SeriesL.one(n)
         shape = self._binomial_shape()
         if shape is not None:
             m, c = shape

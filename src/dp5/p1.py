@@ -51,8 +51,6 @@ def psub(ctx: FieldCtx, a, b):
 
 
 def pmul(ctx: FieldCtx, a, b):
-    if not a or not b:
-        return ()
     r = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:

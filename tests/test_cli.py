@@ -446,3 +446,49 @@ def test_sweep_without_out_writes_the_csv_to_stdout(tmp_path, capsys):
     rows = list(csv.DictReader(lines))
     assert [(r["class"], r["hom_count"]) for r in rows] == [("1,0,0,0,0", "6"),
                                                             ("2,-1,-1,-1,0", "6")]
+
+
+def test_count_output_path_that_is_a_directory_exits_2_before_counting(
+        tmp_path, monkeypatch, capsys):
+    from dp5 import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "count_fast", lambda *a, **k: calls.append(a))
+    assert main(["count", "--q", "2", "--class", "15,-5,-5,-5,-5",
+                 "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert calls == [] and captured.out == ""
+    assert "invalid input: IsADirectoryError" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--out", "--record"])
+def test_sweep_output_path_that_is_a_directory_exits_2_before_counting(
+        tmp_path, monkeypatch, capsys, option):
+    from dp5 import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: calls.append(a))
+    classes = tmp_path / "classes.txt"
+    classes.write_text("1,0,0,0,0\n")
+    assert main(["sweep", "--q", "2", "--classes", str(classes),
+                 option, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert calls == [] and captured.out == ""
+    assert "invalid input: IsADirectoryError" in captured.err
+
+
+@pytest.mark.parametrize("record", ["s.out", "./s.out"])
+def test_sweep_out_equal_to_record_exits_2_before_counting(
+        tmp_path, monkeypatch, capsys, record):
+    from dp5 import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: calls.append(a))
+    monkeypatch.chdir(tmp_path)
+    Path("classes.txt").write_text("1,0,0,0,0\n")
+    assert main(["sweep", "--q", "2", "--classes", "classes.txt",
+                 "--out", "s.out", "--record", record]) == 2
+    captured = capsys.readouterr()
+    assert calls == [] and captured.out == ""
+    assert "invalid input: ValueError" in captured.err
+    assert not Path("s.out").exists()

@@ -182,3 +182,53 @@ def test_prime_power_checks_the_cap_before_factoring():
 def test_zero_to_a_negative_power_is_a_division_by_zero():
     with pytest.raises(DivisionByZero, match="0 to a negative power"):
         field_of_order(5).pow(0, -1)
+
+
+def _reference_modulus(p, e):
+    """The lex-smallest monic irreducible of degree e over F_p, by the
+    guarded trial division the field tables were first built with."""
+
+    def digits(n, k):
+        out = []
+        for _ in range(k):
+            n, r = divmod(n, p)
+            out.append(r)
+        return out
+
+    def rem(a, m):
+        a, dm = list(a), len(m) - 1
+        for i in range(len(a) - 1, dm - 1, -1):
+            c = a[i] % p
+            if c:
+                for j in range(dm + 1):
+                    a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+        return any(a[:dm])
+
+    def irreducible(f):
+        d = len(f) - 1
+        if d == 1:
+            return True
+        if d < 1 or f[0] == 0:
+            return False
+        return all(rem(f, tuple(digits(i, k)) + (1,))
+                   for k in range(1, d // 2 + 1) for i in range(p**k))
+
+    if e == 1:
+        return (0, 1)
+    return next(f for f in (tuple(digits(i, e)) + (1,) for i in range(p**e))
+                if f[0] != 0 and irreducible(f))
+
+
+def test_every_field_modulus_is_the_lex_smallest_irreducible():
+    from dp5.gf import _Q_CAP, _smallest_modulus, prime_power
+
+    sieve = bytearray([1]) * (_Q_CAP + 1)
+    sieve[:2] = b"\0\0"
+    for n in range(2, int(_Q_CAP**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, _Q_CAP + 1, n)))
+    fields = [prime_power(p**e) for p in range(2, _Q_CAP + 1) if sieve[p]
+              for e in range(1, 17) if p**e <= _Q_CAP]
+    assert len(fields) == 6635
+    for p, e in fields:
+        assert _smallest_modulus(p, e) == _reference_modulus(p, e), (p, e)
