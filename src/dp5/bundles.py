@@ -34,7 +34,9 @@ chamber-normalised class, and count_fast checks it on every kernel.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -327,10 +329,9 @@ def build_bundle(aprime, dpp, D=None, E=None) -> CongruenceBundle:
     for i, f in enumerate(aprime, 1):
         if f.is_zero():
             raise PreconditionViolated(f"a{i} is the zero form")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not forms_coprime(aprime[i], aprime[j]):
-                raise PreconditionViolated(f"a{i + 1} and a{j + 1} share a zero")
+    for i, j in combinations(range(4), 2):
+        if not forms_coprime(aprime[i], aprime[j]):
+            raise PreconditionViolated(f"a{i + 1} and a{j + 1} share a zero")
     if any(x < 0 for x in dpp):
         raise PreconditionViolated(f"negative ambient degree in d''={dpp}")
     d1, d2, d3, d4 = (f.d for f in aprime)
@@ -349,12 +350,9 @@ def build_bundle(aprime, dpp, D=None, E=None) -> CongruenceBundle:
             raise PreconditionViolated(f"{label} is not squarefree")
         for pt in dv.support():
             _check_support_point(pt, ctx, label)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            if not named[i][1].disjoint(named[j][1]):
-                raise PreconditionViolated(
-                    f"{named[i][0]} and {named[j][0]} share support"
-                )
+    for (li, di), (lj, dj) in combinations(named, 2):
+        if not di.disjoint(dj):
+            raise PreconditionViolated(f"{li} and {lj} share support")
 
     divs = tuple(divisor_of(f) for f in aprime)
     for i in range(4):
@@ -380,15 +378,11 @@ _ATTEMPT_BUDGET = 200_000
 
 def _squarefree_pool(ctx: FieldCtx):
     """All squarefree divisors of degree <= 2 (including zero)."""
-    pts1 = [INF] + [f for f in irreducibles(ctx, 1)]
+    pts1 = [INF] + irreducibles(ctx, 1)
     pts2 = [f for f in irreducibles(ctx, 2) if pdeg(f) == 2]
     pool = [Divisor()]
     pool += [Divisor.point(p) for p in pts1]
-    pool += [
-        Divisor.point(pts1[i]) + Divisor.point(pts1[j])
-        for i in range(len(pts1))
-        for j in range(i + 1, len(pts1))
-    ]
+    pool += [Divisor.point(a) + Divisor.point(b) for a, b in combinations(pts1, 2)]
     pool += [Divisor.point(p) for p in pts2]
     return pool
 
@@ -399,10 +393,9 @@ def _small_subdivisors(dv: Divisor):
     out = [Divisor()]
     out += [Divisor.point(p) for p in pts]
     out += [
-        Divisor.point(pts[i]) + Divisor.point(pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-        if point_degree(pts[i]) + point_degree(pts[j]) <= 2
+        Divisor.point(a) + Divisor.point(b)
+        for a, b in combinations(pts, 2)
+        if point_degree(a) + point_degree(b) <= 2
     ]
     return out
 
@@ -440,10 +433,7 @@ def sample_bundles(q, alpha: CurveClass, samples: int, seed: int):
         used = Divisor()
         Dv = []
         for k in range(4):
-            others = Divisor()
-            for j in range(4):
-                if j != k:
-                    others = others.lcm(adivs[j])
+            others = reduce(Divisor.lcm, adivs[:k] + adivs[k + 1:])
             choices = [
                 dv for dv in pool
                 if dv.disjoint(others) and dv.disjoint(used)
@@ -466,17 +456,15 @@ def sample_bundles(q, alpha: CurveClass, samples: int, seed: int):
 def hn_statistics(q, alpha: CurveClass, samples: int, seed: int) -> dict:
     """Splitting-type statistics over `sample_bundles`, keyed for JSON."""
     h1pos = 0
-    excess, splits, degs = {}, {}, {}
+    excess, splits, degs = Counter(), Counter(), Counter()
     for bundle in sample_bundles(q, alpha, samples, seed):
         st = bundle.splitting_type()
         deg = bundle.degree()
         if bundle.h1() > 0:
             h1pos += 1
-        key = str(Fraction(3 * st.e1 - deg, 3))
-        excess[key] = excess.get(key, 0) + 1
-        skey = f"{st.e1},{st.e2},{st.e3}"
-        splits[skey] = splits.get(skey, 0) + 1
-        degs[str(deg)] = degs.get(str(deg), 0) + 1
+        excess[str(Fraction(3 * st.e1 - deg, 3))] += 1
+        splits[f"{st.e1},{st.e2},{st.e3}"] += 1
+        degs[str(deg)] += 1
     return {
         "q": q,
         "class": list(alpha),

@@ -265,14 +265,19 @@ def _to_target(run, target: Fraction) -> CertifiedReal:
 
 
 def _checked_inputs(q: int, curve: Optional[CurveZeta], target_radius):
-    """The target radius and the base curve (the projective line by default)."""
+    """The target radius, the base curve (the projective line by default) and
+    its closed-point counts [a_1, ..., a_N] up to N = _N_CAP.
+
+    Counting the closed points refuses a Weil polynomial that no curve has,
+    with NegativePointCount, before either method sums a series.
+    """
     target = Fraction(target_radius)
     if target <= 0:
         raise ValueError(f"target radius must be positive, got {target}")
     curve = projective_line(q) if curve is None else curve
     if curve.q != q:
         raise ValueError(f"curve is over F_{curve.q}, not F_{q}")
-    return target, curve
+    return target, curve, curve.closed_points(_N_CAP)
 
 
 def _finish(grid: _Grid, pf: Fraction, budget: Fraction) -> CertifiedReal:
@@ -291,7 +296,7 @@ def leading_constant_direct(
     target_radius=Fraction(1, 10**13),
 ) -> CertifiedReal:
     """Certified c by direct accumulation of point degrees up to a cutoff."""
-    target, curve = _checked_inputs(q, curve, target_radius)
+    target, curve, counts = _checked_inputs(q, curve, target_radius)
     g = curve.g
 
     def tail_bound(n):
@@ -309,7 +314,6 @@ def leading_constant_direct(
             n += 1
             if n > _N_CAP:
                 raise _unreachable(target, f"needs degree cutoff beyond {_N_CAP}")
-        counts = curve.closed_points(n)
         grid = _Grid(_required_bits(budget, n))
         grid.add_up(tail_bound(n))
         per_term = budget / (16 * n)
@@ -338,7 +342,7 @@ def leading_constant_zeta(
     (3/2 + 11g/5) q^{1-k} gives a geometric tail with ratio 24/(5q), so the
     method requires q >= 5.
     """
-    target, curve = _checked_inputs(q, curve, target_radius)
+    target, curve, _ = _checked_inputs(q, curve, target_radius)
     g = curve.g
     if 5 * q <= 24:
         raise Diverges(

@@ -6,10 +6,12 @@ monic irreducible of degree e.  The modulus is the lexicographically smallest
 monic irreducible, coefficients compared low-to-high, so every (p, e) names
 one canonical field and results are reproducible across runs.
 
-Prime fields use int arithmetic mod p.  Extension fields do every operation
-on q-sized exp, log and Zech-log tables of a fixed generator (cache-resident;
-this is why q is capped).  All operations are exact; there is no notion of
-approximate equality anywhere in this module.
+mul, inv, div and pow read q-sized exp and log tables of a fixed generator
+at every q (cache-resident; this is why q is capped).  add, neg and sub are
+int arithmetic mod p in a prime field; in an extension field add and sub
+also read the Zech-log table.  BENCH_special_cases.json measures that e = 1
+fork.  All operations are exact; there is no notion of approximate equality
+anywhere in this module.
 """
 
 from __future__ import annotations

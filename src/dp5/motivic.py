@@ -306,7 +306,7 @@ def _pattern_exponent(eps):
     return max(e1, e2, e3) + max(e1, e2, e4) + max(min(e1, e2), e3, e4)
 
 
-def local_identity_checks(seed: int = 0) -> dict:
+def local_identity_checks() -> dict:
     """Verify the Euler-factor identities exactly; returns a pass report."""
     # every polynomial below has degree at most 7, so mod u^16 is exact
     def poly(*coeffs):
@@ -343,7 +343,7 @@ def local_identity_checks(seed: int = 0) -> dict:
     from .gf import field_of_order
     from .p1 import Divisor, irreducibles, point_degree
 
-    rng = random.Random(seed)
+    rng = random.Random(0)  # the same ten supports per field on every run
     ok = True
     for q in (2, 3):
         ctx = field_of_order(q)

@@ -17,6 +17,8 @@ count takes the (q-1)^5 torus quotient once, at its end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 from .errors import BudgetExceeded, DP5Error, NegativePointCount, ZeroForm
 from .gf import FieldCtx, mobius_inversion, pstrip
@@ -178,21 +180,11 @@ class Divisor:
         return -1 if len(self._m) % 2 else 1
 
     def subdivisors(self):
-        """All effective E <= self, in a deterministic order."""
-        pts = self.support()
-
-        def rec(i):
-            if i == len(pts):
-                yield Divisor()
-                return
-            for rest in rec(i + 1):
-                for k in range(self._m[pts[i]] + 1):
-                    if k:
-                        yield Divisor({pts[i]: k}) + rest
-                    else:
-                        yield rest
-
-        return list(rec(0))
+        """All effective E <= self, each once, the multiplicity at the first
+        point of the support varying fastest."""
+        pts = self.support()[::-1]  # product varies its last factor fastest
+        ranges = (range(self._m[pt] + 1) for pt in pts)
+        return [Divisor(zip(pts, ks)) for ks in product(*ranges)]
 
     def __eq__(self, other):
         return isinstance(other, Divisor) and self._m == other._m
@@ -303,35 +295,28 @@ def enumerate_sections(ctx: FieldCtx, d: int, budget: int = DEFAULT_BUDGET):
 
 # -- irreducibles and factorization ------------------------------------------
 
-# (p, e) -> {"max": degree searched so far, "polys": irreducibles found}
-_IRR_CACHE: dict = {}
-
-
-def irreducibles(ctx: FieldCtx, max_degree: int):
-    """Monic irreducibles of degree <= max_degree, by degree then lex.
-
-    A sieve, one degree at a time: the monic f of degree deg is number
-    sum f[i]*q^i (i < deg), and the products of the known irreducibles of
-    degree k <= deg/2 with every monic form of degree deg - k are struck out.
-    """
-    cache = _IRR_CACHE.setdefault((ctx.p, ctx.e), {"max": 0, "polys": []})
+@lru_cache(maxsize=None)
+def _irreducibles_of_degree(ctx: FieldCtx, deg: int) -> tuple:
+    """Monic irreducibles of degree deg in lex order, by a sieve: the monic f
+    of degree deg is number sum f[i]*q^i (i < deg), and the products of the
+    irreducibles of degree k <= deg/2 with every monic form of degree deg - k
+    are struck out."""
     q = ctx.q
-    for deg in range(cache["max"] + 1, max_degree + 1):
-        reducible = bytearray(q**deg)
-        for g in cache["polys"]:
-            k = pdeg(g)
-            if 2 * k > deg:
-                break
+    reducible = bytearray(q**deg)
+    for k in range(1, deg // 2 + 1):
+        for g in _irreducibles_of_degree(ctx, k):
             for idx in range(q ** (deg - k), 2 * q ** (deg - k)):  # monic
                 f = pmul(ctx, g, form_from_index(ctx, deg - k, idx).coeffs)
                 reducible[sum(c * q**i for i, c in enumerate(f[:deg]))] = 1
-        cache["polys"].extend(
-            form_from_index(ctx, deg, q**deg + idx).coeffs
-            for idx in range(q**deg)
-            if not reducible[idx]
-        )
-        cache["max"] = deg
-    return [f for f in cache["polys"] if pdeg(f) <= max_degree]
+    return tuple(form_from_index(ctx, deg, q**deg + idx).coeffs
+                 for idx in range(q**deg) if not reducible[idx])
+
+
+def irreducibles(ctx: FieldCtx, max_degree: int):
+    """Monic irreducibles of degree <= max_degree, by degree then lex, as a new
+    list; each degree is sieved once per field."""
+    return [f for deg in range(1, max_degree + 1)
+            for f in _irreducibles_of_degree(ctx, deg)]
 
 
 def factor_poly(ctx: FieldCtx, p):

@@ -143,6 +143,29 @@ def test_hn_statistics_is_deterministic():
             assert es[2] <= -2
 
 
+def test_hn_statistics_pinned_draws():
+    assert hn_statistics(2, scale(ANTICANONICAL, 2), 20, 11) == {
+        "q": 2, "class": [6, -2, -2, -2, -2], "samples": 20, "seed": 11,
+        "h1_positive": 16, "h1_positive_fraction": "4/5",
+        "excess_e1": {"0": 3, "1": 4, "1/3": 7, "2/3": 5, "4/3": 1},
+        "splitting": {"-1,-1,-1": 1, "-1,-1,-2": 3, "-1,-2,-2": 4,
+                      "-2,-2,-2": 2, "-2,-2,-3": 2, "0,-1,-1": 1,
+                      "0,-1,-2": 4, "0,-2,-2": 1, "0,0,-1": 2},
+        "degree": {"-1": 2, "-2": 1, "-3": 5, "-4": 4, "-5": 4, "-6": 2,
+                   "-7": 2},
+    }
+    assert hn_statistics(3, ANTICANONICAL, 15, 4) == {
+        "q": 3, "class": [3, -1, -1, -1, -1], "samples": 15, "seed": 4,
+        "h1_positive": 15, "h1_positive_fraction": "1",
+        "excess_e1": {"0": 3, "1": 1, "1/3": 5, "2/3": 6},
+        "splitting": {"-2,-2,-4": 1, "-3,-3,-3": 1, "-3,-3,-4": 2,
+                      "-3,-4,-4": 2, "-4,-4,-4": 1, "-4,-4,-5": 3,
+                      "-4,-5,-5": 3, "-5,-5,-5": 1, "0,-1,-2": 1},
+        "degree": {"-10": 2, "-11": 2, "-12": 1, "-13": 3, "-14": 3,
+                   "-15": 1, "-3": 1, "-8": 1, "-9": 1},
+    }
+
+
 def test_guards_survive_python_O():
     import os
     import subprocess

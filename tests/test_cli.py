@@ -308,22 +308,30 @@ def test_motivic_specialize_rejects_q_below_two(capsys):
     assert "at u = 1/2:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("data, field", [
-    ({"q": 7, "g": 1, "weil": [1.9, 0.5, "7"]}, "weil[0]"),
-    ({"q": "7", "g": 1, "weil": [1, 0, 7]}, "q must be an int"),
-    ({"q": 7, "g": "1", "weil": [1, 0, 7]}, "g must be an int"),
-    ({"q": 7, "g": 1, "weil": 5}, "weil must be a list"),
-    ([7, 1, [1, 0, 7]], "JSON object"),
-    ({"q": 2, "g": 1, "weil": [1, -4, 2]}, "class number -1"),
-    ({"q": 5, "g": 2, "weil": [1, 9, 30, 45, 25]}, "closed point count -10/2"),
-], ids=["float-weil", "string-q", "string-g", "int-weil", "top-level-list",
-        "class-number", "closed-points"])
-def test_bad_curve_file_exits_2(tmp_path, capsys, data, field):
+_BAD_CURVES = {
+    "float-weil": ({"q": 7, "g": 1, "weil": [1.9, 0.5, "7"]}, "weil[0]"),
+    "string-q": ({"q": "7", "g": 1, "weil": [1, 0, 7]}, "q must be an int"),
+    "string-g": ({"q": 7, "g": "1", "weil": [1, 0, 7]}, "g must be an int"),
+    "int-weil": ({"q": 7, "g": 1, "weil": 5}, "weil must be a list"),
+    "top-level-list": ([7, 1, [1, 0, 7]], "JSON object"),
+    "class-number": ({"q": 2, "g": 1, "weil": [1, -4, 2]}, "class number -1"),
+    "closed-points": ({"q": 5, "g": 2, "weil": [1, 9, 30, 45, 25]},
+                      "closed point count -10/2"),
+}
+
+
+@pytest.mark.parametrize(
+    "data, field, method",
+    [(*case, method) for method in ("direct", "zeta", "both")
+     for case in _BAD_CURVES.values()],
+    ids=[name if method == "direct" else f"{name}-{method}"
+         for method in ("direct", "zeta", "both") for name in _BAD_CURVES])
+def test_bad_curve_file_exits_2(tmp_path, capsys, data, field, method):
     f = tmp_path / "curve.json"
     f.write_text(json.dumps(data))
     q = str(data["q"]) if isinstance(data, dict) else "7"
     assert main(["constant", "--q", q, "--curve", str(f),
-                 "--method", "direct"]) == 2
+                 "--method", method]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid input" in captured.err and field in captured.err

@@ -396,6 +396,8 @@ def _counting_passes(monkeypatch):
 
 
 _E1 = curve_from_weil(7, 1, [1, 0, 7])
+# h = 100 and c about 10.66: the first pass overshoots, so _to_target retries
+_G2 = curve_from_weil(5, 2, [1, 8, 26, 40, 25])
 _EXACT_CASES = (
     [("direct", q, None, None, Fraction(1, 10**13))
      for q in (2, 3, 4, 5, 7, 8, 9, 11, 101, 65521)]
@@ -405,13 +407,15 @@ _EXACT_CASES = (
        ("zeta", 7, _E1, None, Fraction(1, 10**13)),
        ("zeta", 7, None, 12, Fraction(1, 10**13)),
        ("direct", 5, None, None, Fraction(1, 10**30)),
-       ("zeta", 7, None, None, Fraction(1, 10**30))]
+       ("zeta", 7, None, None, Fraction(1, 10**30)),
+       ("direct", 5, _G2, None, Fraction(1, 10**13)),
+       ("zeta", 5, _G2, None, Fraction(1, 10**13))]
 )
 
 
 @pytest.mark.parametrize(
     "method,q,curve,K,target", _EXACT_CASES,
-    ids=[f"{m}-q{q}" + ("-g1" if c else "") + (f"-K{k}" if k else "")
+    ids=[f"{m}-q{q}" + (f"-g{c.g}" if c else "") + (f"-K{k}" if k else "")
          + f"-tol{t.denominator.bit_length()}b" for m, q, c, k, t in _EXACT_CASES])
 def test_integer_grid_matches_fraction_reference(monkeypatch, method, q, curve,
                                                  K, target):

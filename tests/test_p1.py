@@ -1,6 +1,7 @@
 """Sections of O(d) on the projective line: polynomial helpers, divisors,
 factorization, and the closed-point counts they must reproduce."""
 
+import json
 import os
 import random
 import subprocess
@@ -168,6 +169,47 @@ def test_divisor_algebra():
     assert a.mobius() == 0
     with pytest.raises(ValueError):
         Divisor({x: -1})
+
+
+def test_subdivisors_list_every_subdivisor_once_first_point_fastest():
+    from itertools import product
+
+    x, x1, x2 = (0, 1), (1, 1), (1, 1, 1)
+    d = Divisor({x: 2, INF: 1, x2: 3})
+    pts = [INF, x, x1, x2]
+    candidates = [Divisor(dict(zip(pts, ks))) for ks in product(range(4), repeat=4)]
+    want = [e for e in candidates if e.leq(d)]
+    # the first point of the support (INF here) varies fastest
+    want.sort(key=lambda e: [e.mult(pt) for pt in reversed(d.support())])
+    assert len(want) == (1 + 1) * (2 + 1) * (3 + 1)
+    assert d.subdivisors() == want
+    assert Divisor().subdivisors() == [Divisor()]
+
+
+def test_irreducibles_do_not_depend_on_the_order_degrees_are_asked():
+    # each order runs in a fresh interpreter, so it starts from a cold cache
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import json, sys\n"
+        "from dp5.gf import field_of_order\n"
+        "from dp5.p1 import irreducibles\n"
+        "order = [int(d) for d in sys.argv[1:]]\n"
+        "print(json.dumps({q: {d: irreducibles(field_of_order(q), d)\n"
+        "                      for d in order} for q in (2, 3, 4)}))\n"
+    )
+    seen = []
+    for order in ((4, 2, 3), (2, 3, 4), (3, 4, 2, 1)):
+        out = subprocess.run([sys.executable, "-c", code, *map(str, order)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        seen.append(json.loads(out.stdout))
+    for q in (2, 3, 4):
+        ctx = field_of_order(q)
+        for d in (2, 3, 4):
+            want = [list(f) for f in irreducibles(ctx, d)]
+            assert all(got[str(q)][str(d)] == want for got in seen), (q, d)
+        assert seen[2][str(q)]["1"] == [list(f) for f in irreducibles(ctx, 1)]
 
 
 def test_point_degree_and_divisor_count():

@@ -3,9 +3,10 @@
     python3 tools/result_digest.py [--expect SHA]
 
 Runs from the root of a dp5 checkout against the sources in its src/dp5,
-with the standard library only.  Each case is a count_fast call; its result
-becomes one JSON line, CountResult._asdict(), or {"refused": type,
-"message": text} when it raises a DP5Error or a ValueError.  The cases:
+with the standard library only.  Each case is one call; its result becomes
+one JSON line, or {"refused": type, "message": text} when it raises a
+DP5Error or a ValueError.  First the count_fast cases, each line
+CountResult._asdict():
 
 - ten classes at q in {2, 3, 4, 5, 7, 8, 9, 16}, less those in SLOW;
 - the anticanonical tower at q = 2, m = 1..5, and -2K at q = 3, 4, 5;
@@ -18,11 +19,21 @@ becomes one JSON line, CountResult._asdict(), or {"refused": type,
   4, and (6,-2,-1,-1,0) at q = 2 with budgets 79 and 100, one below and
   above its root-mask gate.
 
+Then every other number the package computes, after the counts:
+
+- the certified leading constant as exact (mid, rad): direct at q in
+  {2, 3, 4, 5, 7, 101, 65521}, zeta at q in {5, 7, 101, 65521}, and both
+  methods on the genus-1 curve over F_7 with Weil polynomial 1 + 7T^2;
+- the coefficients of motivic_constant(120);
+- hn_statistics for -2K at q = 2 and 3, 25 samples, seed 7, the draws of
+  dp5 verify's bundles suite.
+
 DP5_BUDGET is removed from the environment first, so every count without a
 budget of its own runs at the default.  Prints the number of lines and their
 sha256; with --expect SHA exits 1 unless the sha256 is SHA.  Run it at two
-commits to check that a change keeps every count, budget verdict and refusal
-message; lines() gives the lines themselves, to find one that differs.
+commits to check that a change keeps every count, constant, series
+coefficient, splitting statistic, budget verdict and refusal message; lines()
+gives the lines themselves, to find one that differs.
 """
 
 from __future__ import annotations
@@ -37,8 +48,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dp5 import count  # noqa: E402
+from dp5.bundles import hn_statistics  # noqa: E402
+from dp5.constants import (  # noqa: E402
+    curve_from_weil, leading_constant_direct, leading_constant_zeta,
+)
 from dp5.errors import DP5Error  # noqa: E402
-from dp5.picard import CurveClass  # noqa: E402
+from dp5.motivic import motivic_constant  # noqa: E402
+from dp5.picard import ANTICANONICAL, CurveClass, scale  # noqa: E402
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 16)
 CLASSES = (
@@ -64,12 +80,25 @@ def _class(text: str):
     return CurveClass(*(int(x) for x in text.split(",")))
 
 
-def _line(q: int, text: str, **kwargs) -> str:
+def _record(call, *args, **kwargs) -> str:
     try:
-        record = count.count_fast(q, _class(text), **kwargs)._asdict()
+        record = call(*args, **kwargs)
     except (DP5Error, ValueError) as err:
         record = {"refused": type(err).__name__, "message": str(err)}
     return json.dumps(record, sort_keys=True)
+
+
+def _line(q: int, text: str, **kwargs) -> str:
+    return _record(lambda: count.count_fast(q, _class(text), **kwargs)._asdict())
+
+
+def _constant(method: str, q: int, curve=None) -> str:
+    def call():
+        run = leading_constant_direct if method == "direct" else leading_constant_zeta
+        c = run(q, curve=curve)
+        return {"method": method, "q": q, "weil": curve and list(curve.weil),
+                "mid": str(c.mid), "rad": str(c.rad)}
+    return _record(call)
 
 
 def lines():
@@ -97,6 +126,16 @@ def lines():
         count._POOL_MIN_WORK = gate
     for q, text, budget in C_ONLY_CASES:
         yield _line(q, text, budget=budget)
+    for q in (2, 3, 4, 5, 7, 101, 65521):
+        yield _constant("direct", q)
+    for q in (5, 7, 101, 65521):
+        yield _constant("zeta", q)
+    elliptic = curve_from_weil(7, 1, [1, 0, 7])
+    for method in ("direct", "zeta"):
+        yield _constant(method, 7, elliptic)
+    yield _record(lambda: {"motivic_coeffs": list(motivic_constant(120).coeffs)})
+    for q in (2, 3):
+        yield _record(hn_statistics, q, scale(ANTICANONICAL, 2), 25, 7)
 
 
 def main(argv=None) -> int:
