@@ -1,11 +1,19 @@
 """Watch the point-count ratios approach the certified leading constant.
 
-Counts degree-5m curves in the anticanonical multiples -mK over F_2 and
-compares hom / q^(d+2) with the certified constant.  At q = 2, m = 1..4
-take tens of milliseconds together, but m = 4 grows fast with q, so it is
-only included with --full: at q = 3 it walks 38.65 M vectors in 35 362
-kernels and gives hom = 2 235 366 360 in about 35 s with one worker on a
-2-vCPU x86-64 guest.
+Counts degree-5m curves in the anticanonical multiples -mK, m = 1..M (--m,
+default 3), over F_q (--q, default 2) and compares hom / q^(d+2) with the
+certified constant c(2) = 0.0151824802...  The q = 2 rows past the default,
+each counted with one worker on a 2-vCPU x86-64 guest:
+
+     m   d            hom   |ratio - c|    time
+     4  20         34 560      0.006943    0.0 s
+     5  25      1 725 120      0.002329    0.2 s
+     6  30     61 721 640      0.000812    4.5 s
+     7  35  2 094 000 840      0.000053  146.2 s
+
+so the relative error falls 0.457, 0.153, 0.054, 0.0035 over m = 4..7.
+m = 4 grows fast with q: at q = 3 it walks 38.65 M vectors in 35 362
+kernels and gives hom = 2 235 366 360 in about 35 s with one worker.
 """
 
 import argparse
@@ -22,7 +30,7 @@ from dp5 import (
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--q", type=int, default=2)
-    ap.add_argument("--full", action="store_true", help="include m = 4")
+    ap.add_argument("--m", type=int, default=3, help="count -K .. -MK (default 3)")
     args = ap.parse_args()
 
     q = args.q
@@ -30,7 +38,7 @@ def main():
     print(f"certified constant at q = {q}:  {c}")
     print()
     print(f"{'m':>2} {'d':>3} {'hom':>10} {'ratio':>12} {'|ratio - c|':>12} {'time':>7}")
-    for m in range(1, 5 if args.full else 4):
+    for m in range(1, args.m + 1):
         t0 = time.time()
         res = count_fast(q, scale(ANTICANONICAL, m))
         ratio = res.ratio()

@@ -81,16 +81,13 @@ def rref(ctx: FieldCtx, rows, ncols):
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = ctx.inv(mat[r][c])
-        if inv != 1:
-            mat[r] = [ctx.mul(inv, x) for x in mat[r]]
+        mat[r] = [ctx.mul(inv, x) for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
     return mat[:r], pivots
 
 
@@ -105,8 +102,7 @@ def nullspace(ctx: FieldCtx, rows, ncols):
         v = [0] * ncols
         v[f] = 1
         for row, p in zip(red, pivots):
-            if row[f]:
-                v[p] = ctx.neg(row[f])
+            v[p] = ctx.neg(row[f])
         basis.append(tuple(v))
     return basis
 
@@ -161,8 +157,7 @@ def _twist_rows(ctx: FieldCtx, conds, dpp, m: int):
                 res = pmod(ctx, w, zf)
                 col = res + (0,) * (degm - len(res)) + w[lo:]
                 for row, v in zip(block, col):
-                    if v:
-                        row[offs[b] + j] = ctx.add(row[offs[b] + j], v)
+                    row[offs[b] + j] = ctx.add(row[offs[b] + j], v)
         rows.extend(block)
     return sizes, offs, ncols, rows
 

@@ -9,8 +9,10 @@ timestamps and wall times live outside the payload.  Every cmd_* returns
 exceptions to exit codes.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input (a bad class or
-flag, a malformed or impossible curve file, or an output file in a missing
-directory, refused before any work), 3 budget exceeded, 4 certified methods
+flag, a malformed or impossible curve file, an output file in a missing
+directory, an output path that is a directory, a sweep --out equal to its
+--record, or a sweep classes file with a class outside the effective dual,
+each refused before any work), 3 budget exceeded, 4 certified methods
 disagree.
 """
 

@@ -287,9 +287,8 @@ def _orbit_images(ctx: FieldCtx, forms, group):
         for f in forms:
             img = [0] * (deg + 1)
             for cj, m in zip(f.coeffs, mono):
-                if cj:
-                    for k, mk in enumerate(m):
-                        img[k] = ctx.add(img[k], ctx.mul(cj, mk))
+                for k, mk in enumerate(m):
+                    img[k] = ctx.add(img[k], ctx.mul(cj, mk))
             inv = ctx.inv(next(x for x in img if x))
             perm.append(index[tuple(ctx.mul(inv, x) for x in img)])
         return perm
@@ -350,7 +349,6 @@ def _lane_width(p: int) -> int:
     return 1 if p == 2 else (2 * p - 1).bit_length() + 1
 
 
-@cache
 def _lane_constants(p: int, lanes: int):
     """(K, H) for a lane-wise add mod p over lanes lanes, s - p * (((s + K) &
     H) >> (w - 1)) for s = x + y: K adds 2^(w-1) - p to each lane, H picks the
@@ -973,12 +971,17 @@ def sweep(q: int, classes, workers: int = 1, budget: Optional[int] = None):
     """Count every class and compare against the leading constant.
 
     Returns one sweep_row per class.  Raises ValueError for workers < 1 or
-    a negative budget, before any work.
+    a negative budget, and refuses a q that is not a prime power or a class
+    outside the effective dual, before any work.
     """
     from .constants import leading_constant_direct
 
     _check_workers(workers)
     budget = _budget(budget)
+    prime_power(q)
+    classes = [CurveClass(*alpha) for alpha in classes]
+    for alpha in classes:
+        eff_dual_data(alpha)
     c = leading_constant_direct(q)
     return [
         sweep_row(count_fast(q, alpha, workers=workers, budget=budget), c)

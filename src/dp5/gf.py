@@ -57,10 +57,8 @@ def mobius_inversion(values) -> list[int]:
     out = [0] * (n + 1)
     for d in range(1, n + 1):
         v = values[d]
-        if v:
-            for j in range(1, n // d + 1):
-                if mu[j]:
-                    out[j * d] += mu[j] * v
+        for j in range(1, n // d + 1):
+            out[j * d] += mu[j] * v
     return out
 
 
@@ -90,9 +88,8 @@ def _pmod(a, m, p):
     dm = len(m) - 1
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+        for j in range(dm + 1):
+            a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
     return pstrip(a[:dm])
 
 

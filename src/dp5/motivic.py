@@ -92,16 +92,11 @@ class SeriesL:
         self._same(other)
         n = self.trunc
         a, b = self.coeffs, other.coeffs
-        # iterate over the sparser operand's support
-        if sum(1 for x in a if x) > sum(1 for x in b if x):
-            a, b = b, a
         out = [0] * n
         for i, ca in enumerate(a):
             if ca:
                 for j in range(n - i):
-                    cb = b[j]
-                    if cb:
-                        out[i + j] += ca * cb
+                    out[i + j] += ca * b[j]
         return SeriesL(n, out)
 
     def invert(self):
@@ -247,14 +242,11 @@ def power_sums(fcoeffs, n: int) -> list[int]:
     Newton's identity p_m + f_1 p_{m-1} + ... + f_{m-1} p_1 + m f_m = 0.
     """
     f = list(fcoeffs)
-    nz = [(j, fj) for j, fj in enumerate(f) if j and fj]
     p = [0] * (n + 1)
     for m in range(1, n + 1):
         s = m * f[m] if m < len(f) else 0
-        for j, fj in nz:
-            if j >= m:
-                break
-            s += fj * p[m - j]
+        for j in range(1, min(m, len(f))):
+            s += f[j] * p[m - j]
         p[m] = -s
     return p
 

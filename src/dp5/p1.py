@@ -16,6 +16,7 @@ count takes the (q-1)^5 torus quotient once, at its end.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -55,10 +56,8 @@ def psub(ctx: FieldCtx, a, b):
 def pmul(ctx: FieldCtx, a, b):
     r = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    r[i + j] = ctx.add(r[i + j], ctx.mul(x, y))
+        for j, y in enumerate(b):
+            r[i + j] = ctx.add(r[i + j], ctx.mul(x, y))
     return pstrip(r)
 
 
@@ -320,11 +319,13 @@ def irreducibles(ctx: FieldCtx, max_degree: int):
 
 
 def factor_poly(ctx: FieldCtx, p):
-    """Factor a nonzero poly into monic irreducibles; returns {poly: mult}."""
+    """Factor a nonzero poly into monic irreducibles; returns a Counter
+    {poly: mult}.  A Counter is a dict, so it equals the dict of the same
+    multiplicities."""
     if not p:
         raise ValueError("cannot factor the zero polynomial")
     p = pmonic(ctx, p)
-    out = {}
+    out = Counter()
     d = pdeg(p)
     if d == 0:
         return out
@@ -333,11 +334,11 @@ def factor_poly(ctx: FieldCtx, p):
             q2, r = pdivmod(ctx, p, f)
             if r:
                 break
-            out[f] = out.get(f, 0) + 1
+            out[f] += 1
             p = q2
         if pdeg(p) == 0:
             return out
-    out[p] = out.get(p, 0) + 1  # leftover is irreducible
+    out[p] += 1  # leftover is irreducible
     return out
 
 
@@ -346,7 +347,7 @@ def divisor_of(f: BinaryForm) -> Divisor:
     if f.is_zero():
         raise ZeroForm("the zero form has no divisor")
     p = f.dehom()
-    m = {pt: k for pt, k in factor_poly(f.ctx, p).items()}
+    m = factor_poly(f.ctx, p)
     k = f.d - pdeg(p)
     if k:
         m[INF] = k

@@ -15,7 +15,7 @@ from dp5.bundles import (
     rref,
     sample_bundles,
 )
-from dp5.errors import NotInEffDual, PreconditionViolated
+from dp5.errors import BudgetExceeded, NotInEffDual, PreconditionViolated
 from dp5.gf import field_of_order
 from dp5.p1 import INF, BinaryForm, Divisor, divisor_of
 from dp5.picard import ANTICANONICAL, CurveClass, scale
@@ -103,6 +103,17 @@ def test_build_bundle_preconditions():
     with pytest.raises(PreconditionViolated):  # E2 not below div(a2)
         build_bundle(good, dpp, D=(Divisor(),) * 4,
                      E=(Divisor(), Divisor.point(x), Divisor(), Divisor()))
+    with pytest.raises(ValueError, match="four forms"):
+        build_bundle(good[:3], dpp)
+    with pytest.raises(PreconditionViolated, match="D1 and E1 share support"):
+        build_bundle(good, dpp, D=(Divisor.point(x), Divisor(), Divisor(), Divisor()),
+                     E=(Divisor.point(x), Divisor(), Divisor(), Divisor()))
+    # a support point must be monic and irreducible: 2x + 1 is not monic,
+    # x^2 - 1 = (x - 1)(x + 1) is reducible
+    for pt, why in (((1, 2), "not monic"), ((2, 0, 1), "reducible")):
+        with pytest.raises(PreconditionViolated, match=why):
+            build_bundle(good, dpp, D=(Divisor.point(pt), Divisor(), Divisor(), Divisor()),
+                         E=(Divisor(),) * 4)
 
 
 def test_twist_profile_monotone_and_riemann_roch():
@@ -125,6 +136,9 @@ def test_sections_enumeration_matches_h0():
     secs = b.sections(0)
     assert len(secs) == 2 ** b.h0(0)
     assert len({tuple(f.coeffs if f else None for f in s) for s in secs}) == len(secs)
+    # h0(5) = 22: 2^22 sections exceed the 2^20 budget before any is built
+    with pytest.raises(BudgetExceeded, match="sections exceed budget"):
+        b.sections(5)
 
 
 def test_hn_statistics_is_deterministic():
@@ -226,3 +240,12 @@ def test_hn_statistics_with_no_samples():
     }
     with pytest.raises(NotInEffDual):
         hn_statistics(3, CurveClass(0, 1, 0, 0, 0), 0, 5)
+
+
+def test_sample_bundles_refuses_after_its_attempt_budget(monkeypatch):
+    from dp5 import bundles
+
+    # -K needs four pairwise coprime linear forms, and F_2 has three points
+    monkeypatch.setattr(bundles, "_ATTEMPT_BUDGET", 50)
+    with pytest.raises(BudgetExceeded, match="51 draws without 1 valid samples"):
+        list(sample_bundles(2, ANTICANONICAL, 1, seed=0))

@@ -419,16 +419,20 @@ def test_negative_budget_is_invalid_input(method, capsys):
 
 def test_sweep_refuses_a_negative_budget_before_the_constant(tmp_path,
                                                              monkeypatch):
-    from dp5 import constants
+    from dp5 import constants, count
 
     def refuse(*args, **kwargs):
-        raise RuntimeError("computed the constant for an invalid budget")
+        raise RuntimeError("computed the constant or a count for invalid input")
 
     monkeypatch.setattr(constants, "leading_constant_direct", refuse)
+    monkeypatch.setattr(count, "count_fast", refuse)
     classes = tmp_path / "classes.txt"
     classes.write_text("1,-1,0,0,0\n")
     assert main(["sweep", "--q", "2", "--classes", str(classes),
                  "--budget", "-1"]) == 2
+    # the last class is outside the effective dual
+    classes.write_text("3,-1,-1,-1,-1\n6,-2,-2,-2,-2\n1,1,0,0,0\n")
+    assert main(["sweep", "--q", "3", "--classes", str(classes)]) == 2
 
 
 def test_dp5_budget_variable_is_checked(monkeypatch, capsys):

@@ -132,8 +132,16 @@ def test_zeta_diverges_for_small_q():
 
 
 def test_unreachable_target():
+    from dp5.constants import CertifiedReal, _to_target
+
     with pytest.raises(TargetUnreachable):
         leading_constant_direct(2, target_radius=Fraction(1, 10**200))
+    # a run whose radius never shrinks: six passes, each at 1/8 the budget
+    budgets = []
+    with pytest.raises(TargetUnreachable, match="could not be certified"):
+        _to_target(lambda b: budgets.append(b) or CertifiedReal(Fraction(0), Fraction(1)),
+                   Fraction(1, 2))
+    assert budgets == [Fraction(1, 2 * 8**k) for k in range(6)]
 
 
 def test_unreachable_target_message_shows_a_nonzero_radius():

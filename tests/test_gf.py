@@ -106,6 +106,10 @@ def test_field_of_order_rejects_non_prime_powers():
         FieldCtx(10)
     with pytest.raises(TooLarge):
         field_of_order(1 << 17)
+    with pytest.raises(TooLarge):
+        FieldCtx(2, 0)
+    with pytest.raises(TooLarge):
+        FieldCtx(2, 17)
 
 
 def test_prime_factors():
@@ -182,6 +186,7 @@ def test_prime_power_checks_the_cap_before_factoring():
 def test_zero_to_a_negative_power_is_a_division_by_zero():
     with pytest.raises(DivisionByZero, match="0 to a negative power"):
         field_of_order(5).pow(0, -1)
+    assert field_of_order(5).pow(0, 0) == 1
 
 
 def _reference_modulus(p, e):

@@ -79,6 +79,10 @@ def test_pow_binomial_path_matches_repeated_multiplication():
             assert s.pow(e) == prod
     # negative exponent via inversion
     assert base.pow(-2) * base.pow(2) == SeriesL.one(n)
+    # only the binomial path takes exponents above 10^6
+    assert base.pow(10**6 + 1).coeffs[3] == -(10**6 + 1)
+    with pytest.raises(ValueError, match="too large"):
+        dense.pow(10**6 + 1)
 
 
 def test_gen_binom():
@@ -92,6 +96,7 @@ def test_gen_binom():
             else:
                 want = (-1) ** j * comb(-e + j - 1, j)
             assert gen_binom(e, j) == want
+        assert gen_binom(e, -1) == 0
 
 
 def test_substitute_and_shift():
@@ -102,6 +107,8 @@ def test_substitute_and_shift():
     assert SeriesL(4, (0, 0, 5, 6)).shift_L(2).coeffs == (5, 6)
     with pytest.raises(ValueError):
         s.shift_L(1)
+    with pytest.raises(ValueError, match="whole truncation window"):
+        SeriesL(4, (0, 0, 0, 0)).shift_L(4)
     assert s.at(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4) + Fraction(4, 8)
 
 
@@ -112,18 +119,24 @@ def test_kapranov_inverse_at():
     assert k3 == (one - u.pow(3)) * (one - u.pow(2))
     with pytest.raises(DegenerateK):
         kapranov_inverse_at(1, 8)
+    with pytest.raises(ValueError, match="k must be"):
+        kapranov_inverse_at(0, 8)
 
 
 def test_mobius_motivic_and_divisor_classes():
     f0, f1, f2 = mobius_motivic_p1()
     assert (f0, f1, f2) == ((1,), (-1, -1), (0, 1))
     assert divisor_class_p1(3) == (1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        divisor_class_p1(-1)
 
 
 def test_witt_exponents_frozen():
     e = witt_exponents(LOCAL_FACTOR_COEFFS, 8)
     assert e[1] == 0
     assert e[2:] == [14, -35, 126, -504, 2030, -8280, 34650]
+    with pytest.raises(ValueError, match="constant term 1"):
+        witt_exponents((2, 1), 4)
 
 
 def test_witt_round_trip_high_order():

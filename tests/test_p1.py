@@ -29,6 +29,7 @@ from dp5.p1 import (
     pmul,
     point_degree,
     points_by_degree,
+    pscale,
     pstrip,
 )
 
@@ -55,6 +56,9 @@ def test_pdivmod_round_trip():
                 total[i] = ctx.add(total[i], c)
             assert pstrip(tuple(total)) == pstrip(a)
             assert pdeg(r) < pdeg(b)
+        with pytest.raises(ZeroDivisionError):
+            pdivmod(ctx, (1, 1), ())
+        assert pscale(ctx, (1, 1), 0) == ()
 
 
 def test_pgcd_divides_both():
@@ -106,6 +110,8 @@ def test_irreducible_counts_match_points_by_degree():
         for n in range(1, 5):
             got = sum(1 for f in irr if pdeg(f) == n)
             assert got + (n == 1) == points_by_degree(q, n), (q, n)
+        with pytest.raises(ValueError):
+            points_by_degree(q, 0)
 
 
 def test_factor_poly_reconstructs_input():
@@ -124,6 +130,8 @@ def test_factor_poly_reconstructs_input():
                 for _ in range(k):
                     prod = pmul(ctx, prod, p)
             assert prod == pmonic(ctx, a)
+        with pytest.raises(ValueError):
+            factor_poly(ctx, ())
 
 
 def test_binary_form_divisor_degree():
@@ -135,10 +143,23 @@ def test_binary_form_divisor_degree():
             assert f.is_zero()
             with pytest.raises(ZeroForm):
                 f.inf_order()
+            with pytest.raises(ZeroForm):
+                divisor_of(f)
             continue
         dv = divisor_of(f)
         assert dv.degree() == d
         assert dv.mult(INF) == f.inf_order()
+    # a negative degree, a coefficient vector of the wrong length, and forms
+    # of two degrees added or of two fields multiplied
+    with pytest.raises(ValueError):
+        BinaryForm(ctx, -1, ())
+    with pytest.raises(ValueError):
+        BinaryForm(ctx, 2, (1, 1))
+    f, g = BinaryForm(ctx, 1, (1, 1)), BinaryForm(ctx, 2, (1, 0, 1))
+    with pytest.raises(ValueError, match="do not combine"):
+        f + g
+    with pytest.raises(ValueError, match="do not combine"):
+        f * BinaryForm(field_of_order(3), 1, (1, 1))
 
 
 def test_forms_coprime_matches_divisors():
@@ -150,6 +171,8 @@ def test_forms_coprime_matches_divisors():
         want = divisor_of(f).gcd(divisor_of(g)).is_zero()
         assert forms_coprime(f, g) == want
         assert forms_coprime(g, f) == want
+    zero = BinaryForm(ctx, 2, (0, 0, 0))
+    assert not forms_coprime(zero, forms[0]) and not forms_coprime(forms[0], zero)
 
 
 def test_divisor_algebra():
