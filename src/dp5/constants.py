@@ -253,9 +253,11 @@ def _to_target(run, target: Fraction) -> CertifiedReal:
     """Tighten the internal budget until the certified radius meets target.
 
     One pass normally suffices; a value much larger than 1 can make the
-    relative exp-propagation term overshoot, so retry a few times.
+    relative exp-propagation term overshoot, so retry a few times.  The
+    first budget is at most 1, since the exp propagation needs the log
+    sum's radius below 1: a looser target is certified at 1.
     """
-    budget = target
+    budget = min(target, Fraction(1))
     for _ in range(6):
         out = run(budget)
         if out.rad <= target:
@@ -268,15 +270,20 @@ def _checked_inputs(q: int, curve: Optional[CurveZeta], target_radius):
     """The target radius, the base curve (the projective line by default) and
     its closed-point counts [a_1, ..., a_N] up to N = _N_CAP.
 
-    Counting the closed points refuses a Weil polynomial that no curve has,
-    with NegativePointCount, before either method sums a series.
+    target_radius may be text such as "1e-13".  Counting the closed points
+    refuses a Weil polynomial that no curve has, with NegativePointCount,
+    before either method sums a series.
     """
-    target = Fraction(target_radius)
+    if curve is not None and curve.q != q:
+        raise ValueError(f"curve is over F_{curve.q}, not F_{q}")
+    try:
+        target = Fraction(target_radius)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"target radius {target_radius} has a zero denominator") from None
     if target <= 0:
         raise ValueError(f"target radius must be positive, got {target}")
     curve = projective_line(q) if curve is None else curve
-    if curve.q != q:
-        raise ValueError(f"curve is over F_{curve.q}, not F_{q}")
     return target, curve, curve.closed_points(_N_CAP)
 
 

@@ -84,8 +84,8 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import cache, lru_cache, wraps
-from itertools import accumulate, chain, combinations, zip_longest
-from math import comb, factorial
+from itertools import accumulate, chain, combinations, product, zip_longest
+from math import comb, factorial, prod
 from operator import or_, xor
 from typing import NamedTuple, Optional
 
@@ -210,8 +210,8 @@ def count_naive(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Coun
         i0, j0, _ = rel[0]
         tot = [0] * (chosen[i0][0].d + chosen[j0][0].d + 1)
         for i, j, sign in rel:
-            prod = pmul(ctx, chosen[i][0].coeffs, chosen[j][0].coeffs)
-            for k, c in enumerate(prod):
+            term = pmul(ctx, chosen[i][0].coeffs, chosen[j][0].coeffs)
+            for k, c in enumerate(term):
                 tot[k] = ctx.add(tot[k], c if sign > 0 else ctx.neg(c))
         return not any(tot)
 
@@ -254,13 +254,12 @@ def _monic_forms(ctx: FieldCtx, d: int):
 
 def _pgl2(ctx: FieldCtx):
     """PGL2(F_q) as its q(q^2-1) matrices (a, b, c, d), first nonzero entry 1."""
-    q = ctx.q
-    group = [(0, 1, c, d) for c in range(1, q) for d in range(q)]
-    for b in range(q):
-        for c in range(q):
-            bc = ctx.mul(b, c)
-            group.extend((1, b, c, d) for d in range(q) if d != bc)
-    return group
+    return [
+        (a, b, c, d)
+        for a in (0, 1)
+        for b, c, d in product(range(ctx.q), repeat=3)
+        if (a or b == 1) and ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
+    ]
 
 
 def _orbit_images(ctx: FieldCtx, forms, group):
@@ -650,7 +649,7 @@ def _outer_tables(q: int, d: int):
     """(forms, images, masks) for the outer forms of degree d over F_q.
 
     forms is _monic_forms, images its _orbit_images under _pgl2 and masks
-    the _root_masks entry of each form, all tuples shared by every count at
+    the _mask_table entry of each form, all tuples shared by every count at
     q.  The one form of degree 0 is fixed by the whole group, so its row is
     the identity column alone and no group is built for it.  The tables
     hold len(forms) * q(q^2 - 1) image entries (len(forms) at d = 0), which
@@ -660,7 +659,7 @@ def _outer_tables(q: int, d: int):
     forms = tuple(_monic_forms(ctx, d))
     group = _pgl2(ctx) if d else [(1, 0, 0, 1)]
     images = tuple(_orbit_images(ctx, forms, group))
-    table = _root_masks(ctx, (d,))[d]
+    table = _mask_table(q, d)
     keys = _packed_basis(ctx, [f.coeffs for f in forms])[:: ctx.e]
     return forms, images, tuple(table[k] for k in keys)
 
@@ -887,9 +886,8 @@ def plan_count(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Count
     degs = [dd[name] for name in ("E1", "E2", "E3", "E4")]
     # the tuples the walk of _orbit_reps visits: a multiset of k forms for
     # each run of k equal degrees d
-    est = 1
-    for a, b in _runs(degs):
-        est *= comb(divisor_count(q, degs[a]) + b - a - 1, b - a)
+    est = prod(comb(divisor_count(q, degs[a]) + b - a - 1, b - a)
+               for a, b in _runs(degs))
     if est > budget:
         raise BudgetExceeded(f"quadruple enumeration needs {est} > budget {budget}")
     if max(degs):

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceeded, DP5Error, NegativePointCount, ZeroForm
-from .gf import FieldCtx, mobius_inversion, pstrip
+from .gf import FieldCtx, _digits, mobius_inversion, pstrip
 
 INF = None  # the point at infinity; every other point is a monic poly tuple
 
@@ -276,11 +276,7 @@ class BinaryForm:
 
 def form_from_index(ctx: FieldCtx, d: int, idx: int) -> BinaryForm:
     """Form number idx in the enumeration order (base-q digits = coeffs)."""
-    c = []
-    for _ in range(d + 1):
-        c.append(idx % ctx.q)
-        idx //= ctx.q
-    return BinaryForm(ctx, d, tuple(c))
+    return BinaryForm(ctx, d, tuple(_digits(idx, ctx.q, d + 1)))
 
 
 def enumerate_sections(ctx: FieldCtx, d: int, budget: int = DEFAULT_BUDGET):

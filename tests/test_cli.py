@@ -248,6 +248,12 @@ def test_internal_key_error_is_not_invalid_input(monkeypatch):
         main(["chamber", "--class", "1,0,0,0,0"])
 
 
+@pytest.mark.parametrize("prec", ["1/0", "abc", "nan", "-1"])
+def test_bad_prec_is_invalid_input(capsys, prec):
+    assert main(["constant", "--q", "5", "--prec", prec]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_prec_accepts_exponent_notation(tmp_path):
     from fractions import Fraction
 

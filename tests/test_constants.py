@@ -144,6 +144,19 @@ def test_unreachable_target():
     assert budgets == [Fraction(1, 2 * 8**k) for k in range(6)]
 
 
+@pytest.mark.parametrize("method, q", [*(("direct", q) for q in (2, 3, 5, 7, 101)),
+                                       *(("zeta", q) for q in (5, 7, 101))])
+@pytest.mark.parametrize("prec", ["5", "10", "1e400"])
+def test_a_target_above_one_is_certified_at_one(method, q, prec):
+    # the log sum's radius must stay below 1 for the exp propagation, so a
+    # loose target starts from 1; zeta needs q >= 5
+    from dp5.cli import main
+
+    constant = {"direct": leading_constant_direct, "zeta": leading_constant_zeta}[method]
+    assert constant(q, target_radius=prec).rad <= Fraction(prec)
+    assert main(["constant", "--q", str(q), "--method", method, "--prec", prec]) == 0
+
+
 def test_unreachable_target_message_shows_a_nonzero_radius():
     # float(1/10^400) underflows to 0; the message must still name the target
     tiny = Fraction(1, 10**400)
@@ -248,10 +261,11 @@ def test_input_checks_are_invalid_input_also_under_python_O():
         "from dp5.cli import main\n"
         "from dp5.constants import (leading_constant_direct,\n"
         "                           leading_constant_zeta, projective_line)\n"
-        "codes = [main(['constant', '--q', '5', '--prec', '0', '--method', m])\n"
-        "         for m in ('direct', 'zeta')]\n"
-        "if codes != [2, 2]:\n"
-        "    raise SystemExit(f'--prec 0 exits {codes}')\n"
+        "for prec in ('0', '1/0'):\n"
+        "    codes = [main(['constant', '--q', '5', '--prec', prec, '--method', m])\n"
+        "             for m in ('direct', 'zeta')]\n"
+        "    if codes != [2, 2]:\n"
+        "        raise SystemExit(f'--prec {prec} exits {codes}')\n"
         "for constant in (leading_constant_direct, leading_constant_zeta):\n"
         "    try:\n"
         "        constant(5, curve=projective_line(7))\n"
