@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 internal error, 2 invalid input (a bad class or
 flag, a --prec that is not a positive rational or has a zero denominator, a
 malformed or impossible curve file, an output file in a missing
 directory, an output path that is a directory, a sweep --out equal to its
---record, or a sweep classes file with a class outside the effective dual,
-each refused before any work), 3 budget exceeded, 4 certified methods
-disagree.  A --prec above 1 is certified at 1.
+--record, a sweep classes file with a class outside the effective dual, or
+a constant --method zeta or both at a q below 5, where the zeta expansion
+diverges, each refused before any work), 3 budget exceeded, 4 certified
+methods disagree.  A --prec above 1 is certified at 1.
 """
 
 from __future__ import annotations
@@ -141,13 +142,15 @@ def cmd_constant(args) -> tuple[int, dict, dict]:
     from .constants import leading_constant_direct, leading_constant_zeta
 
     curve = _load_curve(args.curve)
-    out = {}
-    if args.method in ("direct", "both"):
-        out["direct"] = leading_constant_direct(args.q, curve=curve, target_radius=args.prec)
-        print(f"direct: {out['direct']}")
-    if args.method in ("zeta", "both"):
-        out["zeta"] = leading_constant_zeta(args.q, curve=curve, target_radius=args.prec)
-        print(f"zeta:   {out['zeta']}")
+    compute = {"direct": leading_constant_direct, "zeta": leading_constant_zeta}
+    names = ("direct", "zeta") if args.method == "both" else (args.method,)
+    # zeta runs first: it refuses q < 5 (Diverges), which direct takes, so
+    # that refusal comes before any constant is computed or printed
+    got = {name: compute[name](args.q, curve=curve, target_radius=args.prec)
+           for name in reversed(names)}
+    out = {name: got[name] for name in names}
+    for name, c in out.items():
+        print(f"{name + ':':<8}{c}")
     payload = {
         name: {"mid": _exact(c.mid), "rad": _exact(c.rad), "float": float(c.mid)}
         for name, c in out.items()

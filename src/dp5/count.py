@@ -95,7 +95,7 @@ from .p1 import (
     DEFAULT_BUDGET, BinaryForm, divisor_count, form_from_index, irreducibles, pdeg,
     pgcd, pmul,
 )
-from .picard import LINES, CurveClass, chamber_normalize, eff_dual_data, meets
+from .picard import LINES, CurveClass, _chamber_normalized, eff_dual_data, meets
 
 # the ten coordinates (a1, a2, a3, a4, a12, a13, a14, a23, a24, a34), one per
 # line, and the thirty pairs of them indexed by disjoint lines
@@ -516,20 +516,23 @@ def _gray(p: int, basis, n: int, x: int):
     modular p-ary Gray code: step t adds basis[nu_p(t)], so after it the
     coordinate on basis[k] is t_k - t_(k+1) mod p in t's base-p digits.  A
     step is an XOR at p = 2, else a lane-wise add mod p."""
-    steps = map(basis.__getitem__, _ruler(p, n))
     if p == 2:
-        return accumulate(steps, xor, initial=x)
+        return accumulate(map(basis.__getitem__, _ruler(2, n)), xor, initial=x)
+    return _odd_gray(p, basis, [(n, x)])
+
+
+def _odd_gray(p: int, basis, blocks):
+    """_gray(p, basis, n, x) at odd p for each (n, x) of blocks in turn, with
+    the lane constants of basis computed once for all of them."""
     lanes = -(-max(map(int.bit_length, basis), default=0) // _lane_width(p))
-    return _odd_gray(p, steps, x, *_lane_constants(p, lanes))
-
-
-def _odd_gray(p: int, steps, x: int, K: int, H: int):
+    K, H = _lane_constants(p, lanes)
     w = _lane_width(p) - 1
-    yield x
-    for y in steps:
-        s = x + y
-        x = s - p * (((s + K) & H) >> w)
+    for n, x in blocks:
         yield x
+        for y in map(basis.__getitem__, _ruler(p, n)):
+            s = x + y
+            x = s - p * (((s + K) & H) >> w)
+            yield x
 
 
 def _walk(p: int, basis):
@@ -546,8 +549,10 @@ def _projective_walk(p: int, e: int, basis):
     is 1), sum of q^(j/e) = (q^dim - 1)/(q - 1) vectors; at q = 2, _walk."""
     if p == 2 and e == 1:
         return _walk(2, basis)
-    blocks = (_gray(p, basis, j, basis[j]) for j in range(0, len(basis), e))
-    return chain.from_iterable(blocks)
+    blocks = [(j, basis[j]) for j in range(0, len(basis), e)]
+    if p == 2:
+        return chain.from_iterable(_gray(2, basis, n, x) for n, x in blocks)
+    return _odd_gray(p, basis, blocks)
 
 
 class _CacheInfo(NamedTuple):
@@ -670,13 +675,13 @@ def _check_scaling(ctx: FieldCtx, masks):
     ctx.generator spans F_q^*, so every multiple of a vector gets its verdict."""
     for d, table in masks.items():
         basis, scaled = _unit_bases(ctx.q, d)
-        for f, gf in zip(_walk(ctx.p, basis), _walk(ctx.p, scaled)):
-            if table.get(f) != table.get(gf):
-                raise DP5Error(
-                    f"a form of degree {d} and its multiple by {ctx.generator} "
-                    f"get different root masks over F_{ctx.q}: acceptance is "
-                    "not invariant under scaling"
-                )
+        masks_of_forms = list(map(table.get, _walk(ctx.p, basis)))
+        if masks_of_forms != list(map(table.get, _walk(ctx.p, scaled))):
+            raise DP5Error(
+                f"a form of degree {d} and its multiple by {ctx.generator} "
+                f"get different root masks over F_{ctx.q}: acceptance is "
+                "not invariant under scaling"
+            )
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
@@ -746,7 +751,11 @@ def _orbit_reps(q: int, pairings):
     _root_masks are disjoint.  A tuple t not yet marked is the least member
     of its orbit, so it is kept, and its other run-sorted members go into
     seen by their mixed-radix index until the walk reaches them; seen holds
-    no more than the tuples the walk visits.  Returns a list of (coeffs,
+    no more than the tuples the walk visits.  A member is ranked with one
+    sorted() of its PGL2 image: the image indices of run r are first lifted
+    by r times the largest form count, so the sort keeps every run in its
+    own positions and sorts inside it, and the lifts' constant share of the
+    mixed-radix index is taken off.  Returns a list of (coeffs,
     size, pgl2_orbits): the four forms as coefficient tuples, |G.t|, and the
     number of PGL2 orbits inside G.t, which is |G.t| / |PGL2.t|.  The forms,
     images and masks of each degree come from _outer_tables, built once per
@@ -759,13 +768,15 @@ def _orbit_reps(q: int, pairings):
     runs = _runs(degs)
     # inside a run the walk keeps form indices nondecreasing
     tied = [p > 0 and degs[p] == degs[p - 1] for p in range(4)]
-
-    # the mixed-radix index of u with its entries sorted inside each run
     n2, n3, n4 = len(m2), len(m3), len(m4)
+    # each position's lift, r * step in run r, and the share of the
+    # mixed-radix index that the lifts add
+    step = max(len(m1), n2, n3, n4)
+    l1, l2, l3, l4 = (r * step for r, (a, b) in enumerate(runs) for _ in range(a, b))
+    shift = ((l1 * n2 + l2) * n3 + l3) * n4 + l4
 
-    def key(u):
-        v = [x for a, b in runs for x in sorted(u[a:b])]
-        return ((v[0] * n2 + v[1]) * n3 + v[2]) * n4 + v[3]
+    def lifted(lift, row):  # the first run's rows are not lifted
+        return map(lift.__add__, row) if lift else row
 
     reps, seen = [], set()
     for i1, k1 in enumerate(m1):
@@ -786,17 +797,20 @@ def _orbit_reps(q: int, pairings):
                         continue
                     # unmarked, so the least member of its orbit: mark the rest
                     t = (i1, i2, i3, i4)
-                    # a degree-0 row is one column: its form is fixed
-                    pgl2_orbit = set(
-                        zip_longest(o1[i1], o2[i2], o3[i3], o4[i4], fillvalue=0)
-                    )
-                    members = set(map(key, pgl2_orbit))
+                    # a degree-0 row is one column, its form fixed: degrees
+                    # ascend, so it is in the first run, which is not lifted
+                    pgl2_orbit = set(zip_longest(
+                        o1[i1], lifted(l2, o2[i2]), lifted(l3, o3[i3]),
+                        lifted(l4, o4[i4]), fillvalue=0))
+                    # the mixed-radix index of each member, run-sorted
+                    members = {((a * n2 + b) * n3 + c) * n4 + d - shift
+                               for a, b, c, d in map(sorted, pgl2_orbit)}
                     # PGL2 permutes the forms of each degree, so every member
                     # repeats entries as t does and has |Stab.t| arrangements
                     size = len(members) * _arrangements(t, runs)
                     members.discard(base + i4)
                     seen |= members
-                    coeffs = tuple(f[i].coeffs for f, i in zip((f1, f2, f3, f4), t))
+                    coeffs = (f1[i1].coeffs, f2[i2].coeffs, f3[i3].coeffs, f4[i4].coeffs)
                     reps.append((coeffs, size, size // len(pgl2_orbit)))
     if seen:
         raise DP5Error(f"{len(seen)} orbit members were marked but never reached")
@@ -880,7 +894,7 @@ def plan_count(q: int, alpha: CurveClass, budget: Optional[int] = None) -> Count
     alpha = CurveClass(*alpha)
     dd0 = eff_dual_data(alpha)
     prime_power(q)
-    _, _, dd = chamber_normalize(alpha)
+    _, _, dd = _chamber_normalized(dd0)
     pairings = dd.as_tuple()
     budget = _budget(budget)
     degs = [dd[name] for name in ("E1", "E2", "E3", "E4")]

@@ -54,8 +54,14 @@ def line_class(name: str) -> CurveClass:
     return CurveClass(1, *c)
 
 
+# the ten line classes, in LINES order
+_LINE_CLASSES = tuple(map(line_class, LINES))
+
+
 def pairing(alpha: CurveClass, beta: CurveClass) -> int:
-    return alpha[0] * beta[0] - sum(alpha[i] * beta[i] for i in range(1, 5))
+    a, a1, a2, a3, a4 = alpha
+    b, b1, b2, b3, b4 = beta
+    return a * b - a1 * b1 - a2 * b2 - a3 * b3 - a4 * b4
 
 
 def scale(alpha: CurveClass, m: int) -> CurveClass:
@@ -67,11 +73,12 @@ def add(alpha: CurveClass, beta: CurveClass) -> CurveClass:
 
 
 class DegreeData:
-    """The ten line pairings of a class, plus its anticanonical degree d."""
+    """The ten line pairings of a class, plus its anticanonical degree d.
+    pairings is anything dict() takes: a mapping or (line, pairing) pairs."""
 
     __slots__ = ("pairings", "d")
 
-    def __init__(self, pairings: dict, d: int):
+    def __init__(self, pairings, d: int):
         self.pairings = dict(pairings)
         self.d = d
 
@@ -79,7 +86,7 @@ class DegreeData:
         return self.pairings[name]
 
     def as_tuple(self):
-        return tuple(self.pairings[n] for n in LINES)
+        return tuple(map(self.pairings.__getitem__, LINES))
 
     def __eq__(self, other):
         return (
@@ -94,7 +101,7 @@ class DegreeData:
 
 
 def degree_data(alpha: CurveClass) -> DegreeData:
-    p = {name: pairing(alpha, line_class(name)) for name in LINES}
+    p = dict(zip(LINES, [pairing(alpha, line) for line in _LINE_CLASSES]))
     d = pairing(alpha, ANTICANONICAL)
     # two computations of d must agree: -K pairing vs a pentagon of lines
     pent = p["L13"] + p["E3"] + p["L34"] + p["E4"] + p["L24"]
@@ -169,9 +176,12 @@ def _frame_perm(frame, meet=None) -> dict:
 
 @cache
 def _framed():
-    """(frames, role maps), in the order of _frames; constant, built once."""
+    """(frames, role maps, index maps), in the order of _frames; constant,
+    built once.  A frame's index map is the LINES index of the line filling
+    each role, in LINES order."""
     frames, meet = _frames(), _meeting_pairs()
-    return frames, [_frame_perm(f, meet) for f in frames]
+    perms = [_frame_perm(f, meet) for f in frames]
+    return frames, perms, [tuple(_LINE_IDX[p[name]] for name in LINES) for p in perms]
 
 
 def symmetries():
@@ -193,8 +203,9 @@ def chamber_coords(dd: DegreeData):
 
 def in_chamber(dd: DegreeData) -> bool:
     # note d3 <= d4 is not implied by the coordinate signs alone
-    d1, d2, d3, d4 = (dd[f"E{i}"] for i in (1, 2, 3, 4))
-    return 0 <= d1 <= d2 <= d3 <= d4 and d2 <= dd["L34"]
+    p = dd.pairings
+    d2 = p["E2"]
+    return 0 <= p["E1"] <= d2 <= p["E3"] <= p["E4"] and d2 <= p["L34"]
 
 
 def chamber_normalize(alpha: CurveClass):
@@ -205,9 +216,14 @@ def chamber_normalize(alpha: CurveClass):
     each role to the line occupying it.  The first qualifying frame in
     lexicographic order wins, so already-normalized data keeps the identity.
     """
-    dd = eff_dual_data(alpha)
-    for frame, perm in zip(*_framed()):
-        moved = DegreeData({name: dd[perm[name]] for name in LINES}, dd.d)
+    return _chamber_normalized(eff_dual_data(alpha))
+
+
+def _chamber_normalized(dd: DegreeData):
+    """chamber_normalize of the class whose eff_dual_data is dd."""
+    pairs, d = dd.as_tuple(), dd.d
+    for frame, perm, idx in zip(*_framed()):
+        moved = DegreeData(zip(LINES, map(pairs.__getitem__, idx)), d)
         if in_chamber(moved):
             return frame, perm, moved
     raise DP5Error("effective-dual class missed all 120 chambers")

@@ -80,6 +80,19 @@ def test_constant_subcommand(tmp_path, capsys):
                  "--method", "direct"]) == 0
 
 
+@pytest.mark.parametrize("q", ["2", "3", "4"])
+def test_constant_refuses_a_diverging_zeta_before_any_work(monkeypatch, capsys, q):
+    # --method both is the default; zeta diverges below q = 5
+    from dp5 import constants
+
+    calls = []
+    monkeypatch.setattr(constants, "leading_constant_direct",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["constant", "--q", q]) == 2
+    assert capsys.readouterr().out == ""
+    assert calls == []
+
+
 def test_constant_disagreement_exits_4(monkeypatch, capsys):
     from fractions import Fraction
 

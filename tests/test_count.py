@@ -907,7 +907,10 @@ def test_outer_tables_are_not_built_below_the_orbit_table_budget(
 def test_orbit_marking_matches_the_minimum_image_walk():
     # run structures the root-mask test above lacks: one run of four degree-2
     # forms at q = 5, degrees (1, 1, 1, 2) at q = 9, (1, 2, 2, 3) at q = 4
-    # and one run of four degree-4 forms at q = 2
+    # and one run of four degree-4 forms at q = 2; then three runs, the
+    # first of degree 0, so the sort that ranks members must keep each run
+    # in its own slots: (0, 0, 1, 2) at q = 3, (0, 0, 2, 3) at q = 4 and
+    # (0, 1, 2, 2) at q = 5
     from dp5.count import _orbit_reps
     from dp5.picard import chamber_normalize
 
@@ -916,6 +919,9 @@ def test_orbit_marking_matches_the_minimum_image_walk():
         (9, "4,-2,-1,-1,-1", 15),
         (4, "5,-3,-1,-1,0", 11),
         (2, "12,-4,-4,-4,-4", 115),
+        (3, "3,-2,-1,0,0", 3),
+        (4, "5,-3,-2,0,0", 29),
+        (5, "5,-2,-2,-1,0", 18),
     ]
     for q, text, n in cases:
         pairings = chamber_normalize(_cls(text))[2].as_tuple()

@@ -264,6 +264,30 @@ def test_frames_are_built_once_over_many_normalizations(monkeypatch):
     assert len(calls) == 1
 
 
+def _normalize_frame_by_frame(alpha):
+    # chamber_normalize as a loop over role maps, reading the pairings by
+    # line name and testing the chamber inequalities inline
+    from dp5 import picard
+
+    dd = degree_data(alpha)
+    for frame, perm in zip(picard._frames(), symmetries()):
+        moved = {name: dd[perm[name]] for name in LINES}
+        d1, d2, d3, d4 = (moved[f"E{i}"] for i in (1, 2, 3, 4))
+        if 0 <= d1 <= d2 <= d3 <= d4 and d2 <= moved["L34"]:
+            return frame, perm, picard.DegreeData(moved, dd.d)
+    raise AssertionError(f"{alpha} missed all 120 chambers")
+
+
+@pytest.mark.parametrize("text", ["1,0,0,0,0", "3,-1,-1,-1,-1", "2,-2,0,0,0",
+                                  "4,-2,-1,-1,-1", "5,-3,-1,-1,0", "3,-2,-1,0,0",
+                                  "0,0,0,0,0"])
+def test_chamber_normalize_matches_a_frame_by_frame_reference(text):
+    alpha = CurveClass(*(int(x) for x in text.split(",")))
+    for perm in symmetries():
+        shown = apply_symmetry(alpha, perm)
+        assert chamber_normalize(shown) == _normalize_frame_by_frame(shown), shown
+
+
 def test_unreachable_branches_raise_dp5error_also_under_python_O(monkeypatch):
     import os
     import subprocess

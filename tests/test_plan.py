@@ -48,6 +48,22 @@ def test_plan_solves_walks_and_pools_nothing(monkeypatch):
     assert calls == {"_kernel_dim": len(ORACLE + TOWER)}
 
 
+def test_plan_computes_the_degree_data_once(monkeypatch):
+    from dp5 import picard
+
+    real, calls = picard.degree_data, []
+
+    def degree_data(alpha):
+        calls.append(alpha)
+        return real(alpha)
+
+    monkeypatch.setattr(picard, "degree_data", degree_data)
+    for q, alpha in ORACLE:
+        calls.clear()
+        plan_count(q, alpha)
+        assert calls == [alpha], (q, alpha)
+
+
 @pytest.mark.parametrize("q,alpha", ORACLE + TOWER + SMALL)
 def test_plan_matches_the_count(q, alpha):
     plan = plan_count(q, alpha)
